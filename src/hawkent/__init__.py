@@ -23,6 +23,7 @@ from .measures import (
     concurrence,
     entanglement_of_formation,
     measure_set,
+    measure_stack,
     min_pt_eigenvalue,
     mutual_information,
     one_to_rest_tangle,
@@ -42,6 +43,7 @@ from .model import (
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
     hawking_temperature,
+    pair_states,
     reduced_density,
     thermal_factors,
     tripartite_state,
@@ -86,6 +88,7 @@ __all__ = [
     "min_pt_eigenvalue",
     "one_to_rest_tangle",
     "measure_set",
+    "measure_stack",
     # model
     "ModePair",
     "ModelParams",
@@ -96,6 +99,7 @@ __all__ = [
     "thermal_factors",
     "tripartite_state",
     "reduced_density",
+    "pair_states",
     "closed_form_concurrence",
     "closed_form_min_pt_eigenvalue",
     "closed_form_eof",

@@ -4,7 +4,8 @@ Everything here operates on plain numpy arrays.  The matrices in this
 package never exceed 8x8, so the routines favour clarity and strict
 input checking over speed.  Bipartite structure is passed explicitly as
 ``dims = (d1, d2)`` with the first factor varying slowest (row index
-``i1 * d2 + i2``).
+``i1 * d2 + i2``).  ``partial_trace`` and ``partial_transpose`` also
+take a stack of matrices, shape ``(..., d, d)``, and act on each.
 """
 
 from __future__ import annotations
@@ -30,13 +31,21 @@ HERMITICITY_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
 
-def _as_square(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix or raise ValueError."""
+def _as_square_stack(a) -> np.ndarray:
+    """Coerce to finite complex matrices, square in the last two axes, or raise ValueError."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def _as_square(a) -> np.ndarray:
+    """Coerce to a finite square complex matrix or raise ValueError."""
+    m = _as_square_stack(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -90,7 +99,8 @@ def partial_trace(rho, dims, keep: str = "first") -> np.ndarray:
     Parameters
     ----------
     rho : array_like
-        Square matrix on the product space ``dims[0] * dims[1]``.
+        Square matrix on the product space ``dims[0] * dims[1]``, or a
+        stack of them along leading axes.
     dims : (int, int)
         Dimensions of the two factors.
     keep : {"first", "second"}
@@ -99,15 +109,16 @@ def partial_trace(rho, dims, keep: str = "first") -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The reduced matrix on the kept factor.  Trace is preserved.
+        The reduced matrix on the kept factor, one per input matrix.
+        Trace is preserved.
     """
-    m = _as_square(rho)
-    d1, d2 = _split_dims(m.shape[0], dims)
-    t = m.reshape(d1, d2, d1, d2)
+    m = _as_square_stack(rho)
+    d1, d2 = _split_dims(m.shape[-1], dims)
+    t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
     if keep == "first":
-        return np.trace(t, axis1=1, axis2=3)
+        return np.trace(t, axis1=-3, axis2=-1)
     if keep == "second":
-        return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
@@ -115,15 +126,16 @@ def partial_transpose(rho, dims, which: str = "first") -> np.ndarray:
     """Transpose one factor of a bipartite matrix.
 
     An involution: applying it twice returns the input exactly.  The
-    result of transposing either factor has the same spectrum.
+    result of transposing either factor has the same spectrum.  A stack
+    of matrices is transposed matrix by matrix.
     """
-    m = _as_square(rho)
-    d1, d2 = _split_dims(m.shape[0], dims)
-    t = m.reshape(d1, d2, d1, d2)
+    m = _as_square_stack(rho)
+    d1, d2 = _split_dims(m.shape[-1], dims)
+    t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
     if which == "first":
-        return t.transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
+        return np.swapaxes(t, -4, -2).reshape(m.shape)
     if which == "second":
-        return t.transpose(0, 3, 2, 1).reshape(d1 * d2, d1 * d2)
+        return np.swapaxes(t, -3, -1).reshape(m.shape)
     raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 

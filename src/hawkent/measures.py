@@ -24,6 +24,11 @@ exact zeros, and that dust cannot be told from zero in float64, so
 eigenvalues of ``rho`` below ``16 eps`` times its largest are set to
 zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
+
+:func:`measure_stack` is the one spectral route.  numpy's linalg
+routines broadcast over leading axes, so a stack of states costs a few
+LAPACK calls, not a few per state; the single-state measures run the
+same helpers.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ import numpy as np
 from .linalg import (
     HERMITICITY_ATOL,
     PSD_ATOL,
-    hermitian_eigenvalues,
+    _as_square,
+    _split_dims,
     hermiticity_defect,
     partial_trace,
     partial_transpose,
@@ -56,6 +62,7 @@ __all__ = [
     "min_pt_eigenvalue",
     "one_to_rest_tangle",
     "measure_set",
+    "measure_stack",
 ]
 
 TRACE_ATOL = 1e-12
@@ -93,6 +100,23 @@ class MeasureSet:
     min_pt_eigenvalue: float
 
 
+def _not_psd(lowest) -> ValueError:
+    return ValueError(f"matrix is not positive semidefinite: eigenvalue {lowest:.3e}")
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Raise ValueError naming the first density axiom the finite square ``m`` breaks."""
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace is {tr.real:.15g}, expected 1 within {TRACE_ATOL:g}")
+    lowest = np.linalg.eigvalsh(m)[0]
+    if lowest < -PSD_ATOL:
+        raise _not_psd(lowest)
+
+
 def validate_density(matrix, dims) -> DensityMatrix:
     """Check the density-matrix axioms and attach the bipartition.
 
@@ -105,23 +129,9 @@ def validate_density(matrix, dims) -> DensityMatrix:
     ValueError
         On any violated requirement, naming the offending quantity.
     """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    d1, d2 = (int(d) for d in dims)
-    if d1 < 1 or d2 < 1 or d1 * d2 != m.shape[0]:
-        raise ValueError(f"bipartition {(d1, d2)} does not factor matrix dimension {m.shape[0]}")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}")
-    tr = m.trace()
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {tr.real:.15g}, expected 1 within {TRACE_ATOL:g}")
-    evals = np.linalg.eigvalsh(m)
-    if evals[0] < -PSD_ATOL:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {evals[0]:.3e}")
+    m = _as_square(matrix)
+    d1, d2 = _split_dims(m.shape[0], dims)
+    _check_density(m)
     return DensityMatrix(matrix=m, dims=(d1, d2))
 
 
@@ -140,20 +150,27 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _spectrum_entropy(matrix: np.ndarray) -> float:
-    # eigenvalue dust in [-PSD_ATOL, 0) counts as an exact zero
-    evals = hermitian_eigenvalues(matrix)
-    if evals[0] < -PSD_ATOL:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {evals[0]:.3e}")
-    evals = evals[evals > 0.0]
-    if evals.size == 0:
-        return 0.0
-    return float(-(evals * np.log2(evals)).sum())
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """``x log2 x`` elementwise, with 0 where ``x <= 0``."""
+    return x * np.log2(np.where(x > 0.0, x, 1.0))
+
+
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis.
+
+    The first entry of each spectrum must be its smallest; dust in
+    ``[-PSD_ATOL, 0)`` counts as an exact zero.
+    """
+    lowest = spectra[..., 0]
+    bad = lowest < -PSD_ATOL
+    if bad.any():
+        raise _not_psd(lowest[bad][0])
+    return -_xlogx(spectra).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in bits; 0 for pure states."""
-    return _spectrum_entropy(rho.matrix)
+    return float(_entropies(np.linalg.eigvalsh(rho.matrix)))
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -167,6 +184,37 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
     return _SPIN_FLIP_KERNEL @ rho.matrix.conj() @ _SPIN_FLIP_KERNEL
 
 
+def _concurrences(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Concurrence from the ascending eigensystem of each two-qubit state."""
+    evals = np.where(evals < _RANK_CUT * evals[..., -1:], 0.0, evals)
+    factor = vecs * np.sqrt(evals)[..., None, :]
+    flipped = factor.swapaxes(-1, -2) @ _SPIN_FLIP_KERNEL @ factor
+    roots = np.linalg.svd(flipped, compute_uv=False).T
+    return np.maximum(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def _eofs(c) -> np.ndarray:
+    """EoF from the concurrence: binary entropy of ``(1 + sqrt(1 - C^2)) / 2``."""
+    p = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+    return -(p * np.log2(p) + _xlogx(1.0 - p))
+
+
+def _mutual_informations(m: np.ndarray, joint: np.ndarray, dims) -> np.ndarray:
+    """``S(rho_1) + S(rho_2) - S(rho_12)``; ``joint`` is ``S(rho_12)``."""
+    first = partial_trace(m, dims, keep="first")
+    second = partial_trace(m, dims, keep="second")
+    if first.shape == second.shape:
+        s1, s2 = _entropies(np.linalg.eigvalsh(np.array((first, second))))
+    else:
+        s1, s2 = (_entropies(np.linalg.eigvalsh(x)) for x in (first, second))
+    return s1 + s2 - joint
+
+
+def _min_pt_eigenvalues(m: np.ndarray, dims) -> np.ndarray:
+    # the partial-transpose spectrum is the same whichever factor is transposed
+    return np.linalg.eigvalsh(partial_transpose(m, dims, "first"))[..., 0]
+
+
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
@@ -178,17 +226,12 @@ def concurrence(rho: DensityMatrix) -> float:
     would shift C by about ``sqrt(eps)``.
     """
     _require_two_qubits(rho)
-    evals, vecs = np.linalg.eigh(rho.matrix)
-    evals[evals < _RANK_CUT * evals[-1]] = 0.0
-    factor = vecs * np.sqrt(evals)
-    roots = np.linalg.svd(factor.T @ _SPIN_FLIP_KERNEL @ factor, compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return float(_concurrences(*np.linalg.eigh(rho.matrix)))
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Binary entropy of (1 + sqrt(1 - C^2)) / 2; monotone in C."""
-    c = concurrence(rho)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return float(_eofs(concurrence(rho)))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -196,13 +239,8 @@ def mutual_information(rho: DensityMatrix) -> float:
 
     Non-negative; at most ``2 log2 d`` for equal factor dimensions d.
     """
-    first = partial_trace(rho.matrix, rho.dims, keep="first")
-    second = partial_trace(rho.matrix, rho.dims, keep="second")
-    return (
-        _spectrum_entropy(first)
-        + _spectrum_entropy(second)
-        - _spectrum_entropy(rho.matrix)
-    )
+    joint = _entropies(np.linalg.eigh(rho.matrix)[0])
+    return float(_mutual_informations(rho.matrix, joint, rho.dims))
 
 
 def min_pt_eigenvalue(rho: DensityMatrix) -> float:
@@ -212,7 +250,7 @@ def min_pt_eigenvalue(rho: DensityMatrix) -> float:
     transposed.  For qubit pairs a negative value is equivalent to
     entanglement.
     """
-    return float(hermitian_eigenvalues(partial_transpose(rho.matrix, rho.dims, "first"))[0])
+    return float(_min_pt_eigenvalues(rho.matrix, rho.dims))
 
 
 def one_to_rest_tangle(rho_single) -> float:
@@ -227,24 +265,49 @@ def one_to_rest_tangle(rho_single) -> float:
         m = np.asarray(rho_single, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}")
-    if abs(m.trace() - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {m.trace().real:.15g}, expected 1 within {TRACE_ATOL:g}")
-    evals = np.linalg.eigvalsh(m)
-    if evals[0] < -PSD_ATOL:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {evals[0]:.3e}")
+    _check_density(m)
     det = float(np.linalg.det(m).real)
     return min(1.0, max(0.0, 4.0 * det))
 
 
-def measure_set(rho: DensityMatrix) -> MeasureSet:
-    """All four pairwise measures of one two-qubit state."""
-    _require_two_qubits(rho)
-    return MeasureSet(
-        concurrence=concurrence(rho),
-        eof=entanglement_of_formation(rho),
-        mutual_information=mutual_information(rho),
-        min_pt_eigenvalue=min_pt_eigenvalue(rho),
+def measure_stack(states) -> np.ndarray:
+    """The four measures of each state in a ``(K, 4, 4)`` stack.
+
+    Returns a ``(K, 4)`` array with the columns of :class:`MeasureSet`.
+    Every state must pass the gates of :func:`validate_density`, and
+    its marginal spectra the same positivity gate; the first state that
+    fails raises the ``ValueError`` that ``validate_density`` gives.
+
+    One ``eigh`` per state feeds the positivity gate, the joint entropy
+    and the concurrence factor; the concurrence SVD, the marginal
+    spectra and the partial-transpose spectra are one call each on the
+    whole stack.
+    """
+    m = np.asarray(states, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (K, 4, 4) stack of two-qubit states, got shape {m.shape}")
+    structural = (
+        np.isfinite(m).all()
+        and np.abs(m - m.swapaxes(1, 2).conj()).max(initial=0.0) <= HERMITICITY_ATOL
+        and np.abs(m.trace(axis1=1, axis2=2) - 1.0).max(initial=0.0) <= TRACE_ATOL
     )
+    if not structural:
+        # the first state to fail any gate, positivity included, raises
+        for state in m:
+            _check_density(_as_square(state))
+    evals, vecs = np.linalg.eigh(m)
+    joint = _entropies(evals)  # gates positivity as well
+    c = _concurrences(evals, vecs)
+    return np.array(
+        (c, _eofs(c), _mutual_informations(m, joint, (2, 2)), _min_pt_eigenvalues(m, (2, 2)))
+    ).T
+
+
+def measure_set(rho: DensityMatrix) -> MeasureSet:
+    """All four pairwise measures of one two-qubit state.
+
+    Runs :func:`measure_stack` on a stack of one, so the state passes
+    the density gate again and its spectrum is taken once.
+    """
+    _require_two_qubits(rho)
+    return MeasureSet(*measure_stack(rho.matrix[None])[0].tolist())

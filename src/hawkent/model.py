@@ -41,6 +41,7 @@ __all__ = [
     "thermal_factors",
     "tripartite_state",
     "reduced_density",
+    "pair_states",
     "closed_form_concurrence",
     "closed_form_min_pt_eigenvalue",
     "closed_form_eof",
@@ -150,18 +151,27 @@ def tripartite_state(params: ModelParams) -> np.ndarray:
     return amp
 
 
-def _mode_index(pair: ModePair) -> int:
-    # index of the traced-out mode in (A, I, II) order
-    return {ModePair.A_I: 2, ModePair.A_II: 1, ModePair.I_II: 0}[pair]
+# einsum subscripts over psi[n, A, I, II] that trace out the third mode
+_TRACE_OUT = {
+    ModePair.A_I: "nabc,nxyc->nabxy",
+    ModePair.A_II: "nabc,nxbz->nacxz",
+    ModePair.I_II: "nabc,nayz->nbcyz",
+}
+
+
+def pair_states(amplitudes, pair: ModePair) -> np.ndarray:
+    """Two-mode states of a stack of amplitude vectors, one per vector.
+
+    ``amplitudes`` has shape ``(N, 8)`` in the ``4m + 2n + p`` basis;
+    the result has shape ``(N, 4, 4)`` and is not validated.
+    """
+    psi = np.asarray(amplitudes).reshape(-1, 2, 2, 2)
+    return np.einsum(_TRACE_OUT[pair], psi, psi.conj()).reshape(-1, 4, 4)
 
 
 def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     """Two-mode state obtained by tracing out the third mode."""
-    amp = tripartite_state(params)
-    rho = np.outer(amp, amp.conj()).reshape(2, 2, 2, 2, 2, 2)
-    drop = _mode_index(pair)
-    reduced = np.trace(rho, axis1=drop, axis2=drop + 3).reshape(4, 4)
-    return validate_density(reduced, (2, 2))
+    return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
 
 
 def closed_form_concurrence(params: ModelParams, pair: ModePair) -> float:

@@ -3,9 +3,12 @@
 A sweep varies exactly one of (alpha, omega, temperature) over an
 ascending grid while the other two stay fixed.  Each grid point yields
 one row of twelve measures (four per mode pair), computed from the
-closed forms.  In verify mode every row is recomputed through the
-spectral pipeline (partial trace + eigensolver) and the run aborts on
-any disagreement beyond 1e-9, so emitted numbers are never untested.
+closed forms.  In verify mode the whole grid is then recomputed through
+the spectral route in one pass: the reduced states of every point and
+pair are built as one ``(N, 3, 4, 4)`` stack, :func:`measure_stack`
+measures them all at once, and the run aborts on the first
+disagreement beyond 1e-9 in grid order, so emitted numbers are never
+untested.  The emitted values are the closed forms either way.
 
 Numbers are rendered with 12 significant digits in both formats; JSON
 values are rounded to the same digits, so the two emissions of one run
@@ -16,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
 
-from .measures import measure_set
+from .measures import measure_stack
 from .model import (
     ModelParams,
     ModePair,
@@ -30,7 +32,8 @@ from .model import (
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
-    reduced_density,
+    pair_states,
+    tripartite_state,
 )
 
 __all__ = [
@@ -69,6 +72,7 @@ CSV_COLUMNS = (
 )
 
 _PAIRS = (ModePair.A_I, ModePair.A_II, ModePair.I_II)
+_MEASURES = ("concurrence", "EoF", "mutual information", "min PT eigenvalue")
 _VARIABLES = ("alpha", "omega", "temperature")
 
 
@@ -201,43 +205,53 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.min, spec.max, spec.steps)
 
 
+def _verify(rows: list[SweepRow]) -> None:
+    """Recompute every row through the spectral route and compare.
+
+    Raises :class:`VerificationError` for the first (point, pair,
+    measure), in grid order, whose closed-form and spectral values
+    differ by more than ``VERIFY_ATOL``.
+    """
+    amplitudes = np.array(
+        [tripartite_state(ModelParams(r.alpha, r.omega, r.temperature)) for r in rows]
+    )
+    states = np.stack([pair_states(amplitudes, pair) for pair in _PAIRS], axis=1)
+    spectral = measure_stack(states.reshape(-1, 4, 4)).reshape(len(rows), len(_PAIRS), 4)
+    # CSV columns after the parameters run measure by measure, pair by pair
+    closed = np.array([r.as_tuple()[3:] for r in rows]).reshape(len(rows), 4, len(_PAIRS))
+    closed = closed.transpose(0, 2, 1)
+    failing = np.argwhere(np.abs(closed - spectral) > VERIFY_ATOL)
+    if failing.size:
+        k, p, j = failing[0]
+        row = rows[k]
+        raise VerificationError(
+            f"closed-form vs spectral mismatch at alpha={row.alpha:.12g}, "
+            f"omega={row.omega:.12g}, temperature={row.temperature:.12g}: "
+            f"{_PAIRS[p].value} {_MEASURES[j]}: {closed[k, p, j]:.15g} vs {spectral[k, p, j]:.15g}"
+        )
+
+
 def evaluate_point(
     alpha: float, omega: float, temperature: float, verify: bool = True
 ) -> SweepRow:
     """Closed-form measures at one point, optionally cross-checked.
 
-    With ``verify`` on, every measure is recomputed via partial trace
-    and eigendecomposition; a gap above ``VERIFY_ATOL`` raises
-    :class:`VerificationError` naming the point and the measure.
+    With ``verify`` on, the three pair states of the point go through
+    the same stacked spectral check as a sweep, as a batch of one; a
+    gap above ``VERIFY_ATOL`` raises :class:`VerificationError` naming
+    the point and the measure.
     """
     params = ModelParams(alpha=alpha, omega=omega, temperature=temperature)
-    closed = {
-        pair: (
+    ai, aii, iii = (
+        (
             closed_form_concurrence(params, pair),
             closed_form_eof(params, pair),
             closed_form_mutual_information(params, pair),
             closed_form_min_pt_eigenvalue(params, pair),
         )
         for pair in _PAIRS
-    }
-    if verify:
-        for pair in _PAIRS:
-            spectral = measure_set(reduced_density(params, pair))
-            comparisons = (
-                ("concurrence", closed[pair][0], spectral.concurrence),
-                ("EoF", closed[pair][1], spectral.eof),
-                ("mutual information", closed[pair][2], spectral.mutual_information),
-                ("min PT eigenvalue", closed[pair][3], spectral.min_pt_eigenvalue),
-            )
-            for name, want, got in comparisons:
-                if abs(want - got) > VERIFY_ATOL:
-                    raise VerificationError(
-                        f"closed-form vs spectral mismatch at alpha={alpha:.12g}, "
-                        f"omega={omega:.12g}, temperature={temperature:.12g}: "
-                        f"{pair.value} {name}: {want:.15g} vs {got:.15g}"
-                    )
-    ai, aii, iii = (closed[pair] for pair in _PAIRS)
-    return SweepRow(
+    )
+    row = SweepRow(
         alpha=alpha,
         omega=omega,
         temperature=temperature,
@@ -254,27 +268,28 @@ def evaluate_point(
         min_pt_a_ii=aii[3],
         min_pt_i_ii=iii[3],
     )
+    if verify:
+        _verify([row])
+    return row
 
 
-def run_sweep(config: RunConfig, workers: int = 1) -> list[SweepRow]:
+def run_sweep(config: RunConfig) -> list[SweepRow]:
     """Evaluate the sweep grid in ascending order.
 
-    ``workers`` > 1 distributes points over a thread pool; the result
-    order (and therefore any emitted output) is identical for every
-    worker count.
+    Rows come from the closed forms point by point.  With
+    ``config.verify`` on, the whole grid is then checked in one stacked
+    spectral pass; the rows, and so the emitted bytes, are the same as
+    from :func:`evaluate_point` called on each grid value in turn.
     """
     spec = config.sweep
-
-    def point(value: float) -> SweepRow:
-        fixed = {name: getattr(spec, name) for name in _VARIABLES}
+    fixed = {name: getattr(spec, name) for name in _VARIABLES}
+    rows = []
+    for value in grid_values(spec):
         fixed[spec.vary] = float(value)
-        return evaluate_point(verify=config.verify, **fixed)
-
-    values = grid_values(spec)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, values))
-    return [point(v) for v in values]
+        rows.append(evaluate_point(verify=False, **fixed))
+    if config.verify:
+        _verify(rows)
+    return rows
 
 
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:

@@ -34,6 +34,7 @@ from hawkent.sweep import (
     emit_csv,
     emit_json,
     evaluate_point,
+    grid_values,
     run_sweep,
 )
 
@@ -314,11 +315,11 @@ def test_criterion_9_figure_reproducibility(capsys):
             omega=1.0,
         )
         config = RunConfig(sweep=spec)
-        serial = io.StringIO()
-        threaded = io.StringIO()
-        emit_csv(run_sweep(config, workers=1), serial)
-        emit_csv(run_sweep(config, workers=4), threaded)
-        assert serial.getvalue() == threaded.getvalue()
+        whole = io.StringIO()
+        one_by_one = io.StringIO()
+        emit_csv(run_sweep(config), whole)
+        emit_csv([evaluate_point(INV_SQRT2, 1.0, float(t)) for t in grid_values(spec)], one_by_one)
+        assert whole.getvalue() == one_by_one.getvalue()
 
         rows = run_sweep(config)
         csv_out = io.StringIO()

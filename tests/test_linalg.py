@@ -246,3 +246,18 @@ class TestPsdSquareRootFactor:
 def test_hermiticity_defect_values():
     assert hermiticity_defect(PAULI_Y) == 0.0
     assert hermiticity_defect(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
+
+
+def test_partial_maps_act_on_stacks_matrix_by_matrix():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, 2, 4, 4)) + 1.0j * rng.normal(size=(3, 2, 4, 4))
+    for keep in ("first", "second"):
+        traced = partial_trace(stack, (2, 2), keep)
+        assert traced.shape == (3, 2, 2, 2)
+        for index in np.ndindex(3, 2):
+            assert np.array_equal(traced[index], partial_trace(stack[index], (2, 2), keep))
+    for which in ("first", "second"):
+        transposed = partial_transpose(stack, (2, 2), which)
+        assert transposed.shape == stack.shape
+        for index in np.ndindex(3, 2):
+            assert np.array_equal(transposed[index], partial_transpose(stack[index], (2, 2), which))

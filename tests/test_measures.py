@@ -14,6 +14,7 @@ from hawkent.measures import (
     concurrence,
     entanglement_of_formation,
     measure_set,
+    measure_stack,
     min_pt_eigenvalue,
     mutual_information,
     one_to_rest_tangle,
@@ -284,13 +285,13 @@ class TestOneToRestTangle:
 
 class TestMeasureSet:
     def test_matches_individual_measures(self):
-        rho = _state(RHO_AI)
-        ms = measure_set(rho)
-        assert isinstance(ms, MeasureSet)
-        assert ms.concurrence == concurrence(rho)
-        assert ms.eof == entanglement_of_formation(rho)
-        assert ms.mutual_information == mutual_information(rho)
-        assert ms.min_pt_eigenvalue == min_pt_eigenvalue(rho)
+        for rho in (_state(RHO_AI), *_random_mixed_states(150), *_random_pure_states(150)):
+            ms = measure_set(rho)
+            assert isinstance(ms, MeasureSet)
+            assert ms.concurrence == concurrence(rho)
+            assert ms.eof == entanglement_of_formation(rho)
+            assert ms.mutual_information == mutual_information(rho)
+            assert ms.min_pt_eigenvalue == min_pt_eigenvalue(rho)
 
     def test_werner_boundary_state(self):
         # at p = 1/3 the state sits exactly on the separability border
@@ -298,6 +299,44 @@ class TestMeasureSet:
         ms = measure_set(_state(werner))
         assert ms.concurrence <= 1e-12
         assert abs(ms.min_pt_eigenvalue) <= 1e-12
+
+
+class TestMeasureStack:
+    def test_matches_measure_set(self):
+        states = [_state(m) for m in (RHO_AI, RHO_AII, RHO_III, RHO_BELL)]
+        stacked = measure_stack(np.array([rho.matrix for rho in states]))
+        assert stacked.shape == (4, 4)
+        for rho, values in zip(states, stacked):
+            ms = measure_set(rho)
+            want = (ms.concurrence, ms.eof, ms.mutual_information, ms.min_pt_eigenvalue)
+            assert np.abs(values - want).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.diag([0.25, 0.25, 0.25, 0.25]) + np.eye(4, k=1) * 0.1,
+            np.eye(4) * 0.225,
+            np.diag([0.6, 0.5, -0.1, 0.0]),
+        ],
+        ids=["not_hermitian", "trace", "negative_eigenvalue"],
+    )
+    def test_gate_names_first_failing_state(self, bad):
+        with pytest.raises(ValueError) as want:
+            validate_density(bad, (2, 2))
+        later_bad = np.diag([1.2, -0.2, 0.0, 0.0])
+        stack = np.array([RHO_AI, RHO_III, bad, RHO_BELL, later_bad])
+        with pytest.raises(ValueError) as got:
+            measure_stack(stack)
+        assert str(got.value) == str(want.value)
+
+    def test_positivity_checked_before_a_later_structural_failure(self):
+        stack = np.array([RHO_AI, np.diag([0.6, 0.5, -0.1, 0.0]), np.eye(4) * 0.225])
+        with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -1.000e-01"):
+            measure_stack(stack)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="stack"):
+            measure_stack(np.eye(4) / 4.0)
 
 
 class TestRandomStateProperties:

@@ -193,15 +193,15 @@ class TestRunSweep:
             params = ModelParams(r.alpha, 1.0, 1.0)
             assert abs(r.c_a_i - real_concurrence(params, ModePair.A_I)) <= 1e-15
 
-    def test_worker_count_does_not_change_output(self):
+    def test_batch_size_does_not_change_output(self):
         spec = SweepSpec(
             vary="temperature", min=0.1, max=5.0, steps=40, alpha=0.6, omega=1.5
         )
-        serial = io.StringIO()
-        threaded = io.StringIO()
-        emit_csv(run_sweep(_config(spec), workers=1), serial)
-        emit_csv(run_sweep(_config(spec), workers=4), threaded)
-        assert serial.getvalue() == threaded.getvalue()
+        whole = io.StringIO()
+        one_by_one = io.StringIO()
+        emit_csv(run_sweep(_config(spec)), whole)
+        emit_csv([evaluate_point(0.6, 1.5, float(t)) for t in grid_values(spec)], one_by_one)
+        assert whole.getvalue() == one_by_one.getvalue()
 
 
 class TestEmitCsv:
@@ -340,4 +340,14 @@ class TestVerification:
         monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
         spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
         with pytest.raises(VerificationError):
+            run_sweep(_config(spec))
+
+    def test_sweep_reports_first_failure_in_grid_order(self, monkeypatch):
+        def skewed(params, pair):
+            shift = 1e-6 if params.temperature == 3.0 else 0.0
+            return real_concurrence(params, pair) + shift
+
+        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        spec = SweepSpec(vary="temperature", min=1.0, max=5.0, steps=5, alpha=0.5, omega=1.0)
+        with pytest.raises(VerificationError, match="temperature=3: A_I concurrence"):
             run_sweep(_config(spec))
