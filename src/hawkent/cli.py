@@ -11,10 +11,12 @@ vs spectral verification failure, 4 output write failure.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
+from dataclasses import astuple
 
-from .model import asymptotic_limits, hawking_temperature
+from .model import asymptotic_limits, check_params, hawking_temperature
 from .sweep import (
     CSV_COLUMNS,
     RunConfig,
@@ -43,41 +45,36 @@ _FIGURE_COLUMNS = {
 }
 
 
-def _alpha_value(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and 0.0 < value < 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must lie strictly in (0, 1), got {text}")
-    return value
+
+
+def _param_value(name: str):
+    """argparse type for the model parameter ``name``, range-checked by ``check_params``."""
+
+    def parse(text: str) -> float:
+        value = _float(text)
+        try:
+            check_params(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def _positive_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
-def _non_negative_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
 def _finite_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = _float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
@@ -102,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     measure = sub.add_parser("measure", help="all twelve measures at one parameter point")
-    measure.add_argument("--alpha", type=_alpha_value, required=True)
-    measure.add_argument("--omega", type=_positive_value, required=True)
-    measure.add_argument("--temperature", type=_non_negative_value)
+    measure.add_argument("--alpha", type=_param_value("alpha"), required=True)
+    measure.add_argument("--omega", type=_param_value("omega"), required=True)
+    measure.add_argument("--temperature", type=_param_value("temperature"))
     measure.add_argument("--mass", type=_positive_value, help="black-hole mass; sets T = 1/(8 pi M)")
     measure.add_argument("--verify", choices=("on", "off"), default="on",
                          help="cross-check closed forms against the spectral route")
@@ -116,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--max", type=_finite_value, required=True)
     swp.add_argument("--steps", type=_steps_value, required=True)
     swp.add_argument("--scale", choices=("linear", "log"), default="linear")
-    swp.add_argument("--alpha", type=_alpha_value)
-    swp.add_argument("--omega", type=_positive_value)
-    swp.add_argument("--temperature", type=_non_negative_value)
+    swp.add_argument("--alpha", type=_param_value("alpha"))
+    swp.add_argument("--omega", type=_param_value("omega"))
+    swp.add_argument("--temperature", type=_param_value("temperature"))
     swp.add_argument("--mass", type=_positive_value, help="black-hole mass; sets T = 1/(8 pi M)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--out", help="output path (default: stdout)")
@@ -132,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(1: concurrence, 2: EoF, 3: mutual information)",
     )
     fig.add_argument("which", type=int, choices=(1, 2, 3))
-    fig.add_argument("--alpha", type=_alpha_value, default=_DEFAULT_FIGURE_ALPHA,
+    fig.add_argument("--alpha", type=_param_value("alpha"), default=_DEFAULT_FIGURE_ALPHA,
                      help="superposition weight (default: 1/sqrt(2))")
-    fig.add_argument("--omega", type=_positive_value, default=1.0)
+    fig.add_argument("--omega", type=_param_value("omega"), default=1.0)
     fig.add_argument("--max", type=_positive_value, default=10.0, dest="t_max",
                      help="top of the temperature grid (default: 10)")
     fig.add_argument("--steps", type=_steps_value, default=200)
@@ -142,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(handler=_cmd_figure)
 
     lim = sub.add_parser("limits", help="closed-form values at T = 0 and T -> infinity")
-    lim.add_argument("--alpha", type=_alpha_value, required=True)
+    lim.add_argument("--alpha", type=_param_value("alpha"), required=True)
     lim.set_defaults(handler=_cmd_limits)
 
     return parser
@@ -178,19 +175,9 @@ def _cmd_measure(args, parser) -> int:
 
 
 def _sweep_config(args, parser) -> RunConfig:
-    fixed = {"alpha": args.alpha, "omega": args.omega, "temperature": None}
-    mass = None
-    if args.vary == "temperature":
-        if args.temperature is not None or args.mass is not None:
-            parser.error("--temperature/--mass conflict with --vary temperature")
-    else:
-        fixed["temperature"] = _fixed_temperature(parser, args.temperature, args.mass, required=True)
-        mass = args.mass
-    if fixed[args.vary] is not None:
-        parser.error(f"--{args.vary} conflicts with --vary {args.vary}")
-    for name in ("alpha", "omega"):
-        if name != args.vary and fixed[name] is None:
-            parser.error(f"--{name} is required when it is held fixed")
+    temperature = _fixed_temperature(
+        parser, args.temperature, args.mass, required=args.vary != "temperature"
+    )
     try:
         spec = SweepSpec(
             vary=args.vary,
@@ -198,7 +185,9 @@ def _sweep_config(args, parser) -> RunConfig:
             max=args.max,
             steps=args.steps,
             scale=args.scale,
-            **fixed,
+            alpha=args.alpha,
+            omega=args.omega,
+            temperature=temperature,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -207,7 +196,7 @@ def _sweep_config(args, parser) -> RunConfig:
         output_format=args.format,
         out=args.out,
         verify=args.verify == "on",
-        mass=mass,
+        mass=args.mass,
     )
 
 
@@ -227,19 +216,13 @@ def parse_args(argv) -> RunConfig:
 def _cmd_sweep(args, parser) -> int:
     config = _sweep_config(args, parser)
     rows = run_sweep(config)
-    if args.out is None:
-        _emit(rows, sys.stdout, config)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _emit(rows, fh, config)
-    return EXIT_OK
-
-
-def _emit(rows, stream, config: RunConfig) -> None:
+    text = io.StringIO()
     if config.output_format == "json":
-        emit_json(rows, stream, config)
+        emit_json(rows, text, config)
     else:
-        emit_csv(rows, stream)
+        emit_csv(rows, text)
+    _write_text(text.getvalue(), config.out)
+    return EXIT_OK
 
 
 def figure_command(
@@ -252,8 +235,6 @@ def figure_command(
     """CSV table of one measure family over T in [0.01, t_max], log grid."""
     if which not in _FIGURE_COLUMNS:
         raise ValueError(f"figure number must be 1, 2 or 3, got {which!r}")
-    if t_max <= 0.01:
-        raise ValueError(f"figure needs max > 0.01, got {t_max!r}")
     spec = SweepSpec(
         vary="temperature",
         min=0.01,
@@ -283,17 +264,12 @@ def limits_command(alpha: float) -> str:
     """Two-column report of the T = 0 and T -> infinity values."""
     report = asymptotic_limits(alpha)
     names = ("C_A_I", "C_A_II", "C_I_II", "MI_A_I", "MI_A_II", "MI_I_II")
-    zero = report.zero_temperature
-    hot = report.infinite_temperature
-    pairs = zip(
-        (zero.c_a_i, zero.c_a_ii, zero.c_i_ii, zero.mi_a_i, zero.mi_a_ii, zero.mi_i_ii),
-        (hot.c_a_i, hot.c_a_ii, hot.c_i_ii, hot.mi_a_i, hot.mi_a_ii, hot.mi_i_ii),
-    )
     lines = [
         f"alpha = {format_number(report.alpha)}",
         f"{'measure':<10}{'T = 0':<18}T -> infinity",
     ]
-    for name, (cold, warm) in zip(names, pairs):
+    values = zip(names, astuple(report.zero_temperature), astuple(report.infinite_temperature))
+    for name, cold, warm in values:
         lines.append(f"{name:<10}{format_number(cold):<18}{format_number(warm)}")
     lines.append(
         "accessible MI ratio: MI_A_I(T->inf) / MI_A_I(T=0) = "

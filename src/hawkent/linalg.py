@@ -15,9 +15,6 @@ import numpy as np
 __all__ = [
     "HERMITICITY_ATOL",
     "PSD_ATOL",
-    "mat_mul",
-    "adjoint",
-    "kron",
     "hermiticity_defect",
     "partial_trace",
     "partial_transpose",
@@ -59,38 +56,27 @@ def _split_dims(dim: int, dims) -> tuple[int, int]:
     return d1, d2
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two equally sized square matrices.
-
-    Raises
-    ------
-    ValueError
-        If either argument is not square or the dimensions differ.
-    """
-    a, b = _as_square(a), _as_square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
+def _not_hermitian(defect: float) -> ValueError:
+    return ValueError(f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}")
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_square(a).conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product.
-
-    Row index of the result is ``i_a * dim_b + i_b``, i.e. the first
-    argument is the slow (leftmost) factor.
-    """
-    return np.kron(_as_square(a), _as_square(b))
+def _not_psd(lowest: float) -> ValueError:
+    return ValueError(f"matrix is not positive semidefinite: eigenvalue {lowest:.3e}")
 
 
 def hermiticity_defect(a) -> float:
     """Largest entrywise magnitude of ``a - a^dagger``."""
     m = _as_square(a)
     return float(np.abs(m - m.conj().T).max())
+
+
+def _hermitian(a) -> np.ndarray:
+    """``a`` as a finite square matrix, Hermitian within ``HERMITICITY_ATOL``, or raise ValueError."""
+    m = _as_square(a)
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_ATOL:
+        raise _not_hermitian(defect)
+    return m
 
 
 def partial_trace(rho, dims, keep: str = "first") -> np.ndarray:
@@ -139,45 +125,33 @@ def partial_transpose(rho, dims, which: str = "first") -> np.ndarray:
     raise ValueError(f"which must be 'first' or 'second', got {which!r}")
 
 
-def hermitian_eigenvalues(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, ascending.
 
     Raises
     ------
     ValueError
-        If the largest entry of ``a - a^dagger`` exceeds ``atol``; the
+        If the largest entry of ``a - a^dagger`` exceeds 1e-12; the
         message reports the offending magnitude.
     """
-    m = _as_square(a)
-    defect = float(np.abs(m - m.conj().T).max())
-    if defect > atol:
-        raise ValueError(
-            f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}"
-        )
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(_hermitian(a))
 
 
-def psd_square_root_factor(rho, atol: float = PSD_ATOL) -> np.ndarray:
+def psd_square_root_factor(rho) -> np.ndarray:
     """Hermitian factor ``L`` with ``rho = L @ L^dagger``.
 
     ``L`` is the principal square root, built from the eigensystem of
-    ``rho``.  Eigenvalue dust in ``[-atol, 0)`` is clamped to zero
+    ``rho``.  Eigenvalue dust in ``[-1e-10, 0)`` is clamped to zero
     before the square root.
 
     Raises
     ------
     ValueError
         If ``rho`` is not Hermitian, or an eigenvalue lies below
-        ``-atol``.
+        ``-1e-10``.
     """
-    m = _as_square(rho)
-    defect = float(np.abs(m - m.conj().T).max())
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}"
-        )
-    evals, vecs = np.linalg.eigh(m)
-    if evals[0] < -atol:
-        raise ValueError(f"matrix is not positive semidefinite: eigenvalue {evals[0]:.3e}")
+    evals, vecs = np.linalg.eigh(_hermitian(rho))
+    if evals[0] < -PSD_ATOL:
+        raise _not_psd(evals[0])
     evals = np.clip(evals, 0.0, None)
     return (vecs * np.sqrt(evals)) @ vecs.conj().T

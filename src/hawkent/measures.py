@@ -42,8 +42,10 @@ from .linalg import (
     HERMITICITY_ATOL,
     PSD_ATOL,
     _as_square,
+    _as_square_stack,
+    _not_hermitian,
+    _not_psd,
     _split_dims,
-    hermiticity_defect,
     partial_trace,
     partial_transpose,
 )
@@ -100,21 +102,25 @@ class MeasureSet:
     min_pt_eigenvalue: float
 
 
-def _not_psd(lowest) -> ValueError:
-    return ValueError(f"matrix is not positive semidefinite: eigenvalue {lowest:.3e}")
+def _check_density(m: np.ndarray, lowest: np.ndarray) -> None:
+    """The density gate on a finite ``(K, d, d)`` stack.
 
-
-def _check_density(m: np.ndarray) -> None:
-    """Raise ValueError naming the first density axiom the finite square ``m`` breaks."""
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^dagger| entry is {defect:.3e}")
-    tr = m.trace()
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {tr.real:.15g}, expected 1 within {TRACE_ATOL:g}")
-    lowest = np.linalg.eigvalsh(m)[0]
-    if lowest < -PSD_ATOL:
-        raise _not_psd(lowest)
+    ``lowest`` holds the smallest eigenvalue of each state.  The first
+    state that is not Hermitian within 1e-12, not of unit trace within
+    1e-12 or has an eigenvalue below -1e-10 raises the ValueError that
+    :func:`validate_density` gives for it.
+    """
+    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    trace = m.trace(axis1=-2, axis2=-1)
+    bad = (defect > HERMITICITY_ATOL) | (np.abs(trace - 1.0) > TRACE_ATOL) | (lowest < -PSD_ATOL)
+    if not bad.any():
+        return
+    k = bad.argmax()
+    if defect[k] > HERMITICITY_ATOL:
+        raise _not_hermitian(defect[k])
+    if abs(trace[k] - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace is {trace[k].real:.15g}, expected 1 within {TRACE_ATOL:g}")
+    raise _not_psd(lowest[k])
 
 
 def validate_density(matrix, dims) -> DensityMatrix:
@@ -131,7 +137,7 @@ def validate_density(matrix, dims) -> DensityMatrix:
     """
     m = _as_square(matrix)
     d1, d2 = _split_dims(m.shape[0], dims)
-    _check_density(m)
+    _check_density(m[None], np.linalg.eigvalsh(m)[:1])
     return DensityMatrix(matrix=m, dims=(d1, d2))
 
 
@@ -265,7 +271,8 @@ def one_to_rest_tangle(rho_single) -> float:
         m = np.asarray(rho_single, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    _check_density(m)
+    m = _as_square(m)
+    _check_density(m[None], np.linalg.eigvalsh(m)[:1])
     det = float(np.linalg.det(m).real)
     return min(1.0, max(0.0, 4.0 * det))
 
@@ -276,7 +283,9 @@ def measure_stack(states) -> np.ndarray:
     Returns a ``(K, 4)`` array with the columns of :class:`MeasureSet`.
     Every state must pass the gates of :func:`validate_density`, and
     its marginal spectra the same positivity gate; the first state that
-    fails raises the ``ValueError`` that ``validate_density`` gives.
+    fails raises the ``ValueError`` that ``validate_density`` gives.  A
+    non-finite entry anywhere in the stack raises before any state is
+    gated.
 
     One ``eigh`` per state feeds the positivity gate, the joint entropy
     and the concurrence factor; the concurrence SVD, the marginal
@@ -286,17 +295,10 @@ def measure_stack(states) -> np.ndarray:
     m = np.asarray(states, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"expected a (K, 4, 4) stack of two-qubit states, got shape {m.shape}")
-    structural = (
-        np.isfinite(m).all()
-        and np.abs(m - m.swapaxes(1, 2).conj()).max(initial=0.0) <= HERMITICITY_ATOL
-        and np.abs(m.trace(axis1=1, axis2=2) - 1.0).max(initial=0.0) <= TRACE_ATOL
-    )
-    if not structural:
-        # the first state to fail any gate, positivity included, raises
-        for state in m:
-            _check_density(_as_square(state))
+    m = _as_square_stack(m)
     evals, vecs = np.linalg.eigh(m)
-    joint = _entropies(evals)  # gates positivity as well
+    _check_density(m, evals[:, 0])
+    joint = _entropies(evals)
     c = _concurrences(evals, vecs)
     return np.array(
         (c, _eofs(c), _mutual_informations(m, joint, (2, 2)), _min_pt_eigenvalues(m, (2, 2)))

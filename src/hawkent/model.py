@@ -32,6 +32,7 @@ import numpy as np
 from .measures import DensityMatrix, binary_entropy, validate_density
 
 __all__ = [
+    "check_params",
     "ModePair",
     "ModelParams",
     "ThermalFactors",
@@ -48,6 +49,22 @@ __all__ = [
     "closed_form_mutual_information",
     "asymptotic_limits",
 ]
+
+
+def check_params(alpha=None, omega=None, temperature=None) -> None:
+    """Range check of the model parameters; a parameter left None is skipped.
+
+    ``alpha`` must lie strictly in (0, 1), ``omega`` must be positive
+    and finite, ``temperature`` non-negative and finite.  Raises
+    ValueError naming the first parameter out of range.  NaN fails
+    every chained comparison, so no separate finiteness test is needed.
+    """
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    if omega is not None and not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    if temperature is not None and not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be non-negative, got {temperature!r}")
 
 
 class ModePair(Enum):
@@ -73,12 +90,7 @@ class ModelParams:
     temperature: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise ValueError(f"temperature must be non-negative, got {self.temperature!r}")
+        check_params(self.alpha, self.omega, self.temperature)
 
 
 @dataclass(frozen=True)
@@ -130,10 +142,7 @@ def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     ``x = w/T`` so that large ratios underflow gracefully instead of
     overflowing.
     """
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be positive, got {omega!r}")
-    if not (math.isfinite(temperature) and temperature >= 0.0):
-        raise ValueError(f"temperature must be non-negative, got {temperature!r}")
+    check_params(omega=omega, temperature=temperature)
     if temperature == 0.0:
         return ThermalFactors(f_minus=1.0, f_plus=0.0)
     x = omega / temperature
@@ -260,8 +269,7 @@ def asymptotic_limits(alpha: float) -> LimitReport:
     I_II pair reaches ``C = alpha^2`` and
     ``I = 2 H2(alpha^2 / 2) - H2(alpha^2)``.
     """
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    check_params(alpha=alpha)
     a2 = alpha * alpha
     b2 = 1.0 - a2
     zero = LimitValues(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from typing import IO
 
@@ -28,6 +30,7 @@ from .measures import measure_stack
 from .model import (
     ModelParams,
     ModePair,
+    check_params,
     closed_form_concurrence,
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
@@ -102,7 +105,11 @@ class SweepSpec:
             raise ValueError(f"vary must be one of {_VARIABLES}, got {self.vary!r}")
         if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):
             raise ValueError(f"need min < max, got [{self.min!r}, {self.max!r}]")
-        if int(self.steps) != self.steps or self.steps < 2:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            steps = 0
+        if steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
@@ -124,12 +131,7 @@ class SweepSpec:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"fixed parameter {name} is required when varying {self.vary}")
-            if name == "alpha" and not (math.isfinite(value) and 0.0 < value < 1.0):
-                raise ValueError(f"alpha must lie strictly in (0, 1), got {value!r}")
-            if name == "omega" and not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"omega must be positive, got {value!r}")
-            if name == "temperature" and not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"temperature must be non-negative, got {value!r}")
+            check_params(**{name: value})
 
 
 @dataclass(frozen=True)
@@ -151,44 +153,17 @@ class RunConfig:
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One parameter point and its twelve measures, in column order."""
+class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for c in CSV_COLUMNS])):
+    """One parameter point and its twelve measures, in the order of ``CSV_COLUMNS``.
 
-    alpha: float
-    omega: float
-    temperature: float
-    c_a_i: float
-    c_a_ii: float
-    c_i_ii: float
-    eof_a_i: float
-    eof_a_ii: float
-    eof_i_ii: float
-    mi_a_i: float
-    mi_a_ii: float
-    mi_i_ii: float
-    min_pt_a_i: float
-    min_pt_a_ii: float
-    min_pt_i_ii: float
+    Field names are the column names in lower case, ``minPT`` spelled
+    ``min_pt``: ``alpha``, ..., ``c_a_i``, ..., ``min_pt_i_ii``.
+    """
+
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.alpha,
-            self.omega,
-            self.temperature,
-            self.c_a_i,
-            self.c_a_ii,
-            self.c_i_ii,
-            self.eof_a_i,
-            self.eof_a_ii,
-            self.eof_i_ii,
-            self.mi_a_i,
-            self.mi_a_ii,
-            self.mi_i_ii,
-            self.min_pt_a_i,
-            self.min_pt_a_ii,
-            self.min_pt_i_ii,
-        )
+        return tuple(self)
 
 
 def format_number(x: float) -> str:
@@ -212,14 +187,11 @@ def _verify(rows: list[SweepRow]) -> None:
     measure), in grid order, whose closed-form and spectral values
     differ by more than ``VERIFY_ATOL``.
     """
-    amplitudes = np.array(
-        [tripartite_state(ModelParams(r.alpha, r.omega, r.temperature)) for r in rows]
-    )
+    amplitudes = np.array([tripartite_state(ModelParams(*r[:3])) for r in rows])
     states = np.stack([pair_states(amplitudes, pair) for pair in _PAIRS], axis=1)
     spectral = measure_stack(states.reshape(-1, 4, 4)).reshape(len(rows), len(_PAIRS), 4)
     # CSV columns after the parameters run measure by measure, pair by pair
-    closed = np.array([r.as_tuple()[3:] for r in rows]).reshape(len(rows), 4, len(_PAIRS))
-    closed = closed.transpose(0, 2, 1)
+    closed = np.array(rows)[:, 3:].reshape(len(rows), 4, len(_PAIRS)).transpose(0, 2, 1)
     failing = np.argwhere(np.abs(closed - spectral) > VERIFY_ATOL)
     if failing.size:
         k, p, j = failing[0]
@@ -242,31 +214,15 @@ def evaluate_point(
     the point and the measure.
     """
     params = ModelParams(alpha=alpha, omega=omega, temperature=temperature)
-    ai, aii, iii = (
-        (
-            closed_form_concurrence(params, pair),
-            closed_form_eof(params, pair),
-            closed_form_mutual_information(params, pair),
-            closed_form_min_pt_eigenvalue(params, pair),
-        )
-        for pair in _PAIRS
+    # looked up per call, so that rebinding hawkent.sweep.closed_form_* takes effect
+    closed_forms = (
+        closed_form_concurrence,
+        closed_form_eof,
+        closed_form_mutual_information,
+        closed_form_min_pt_eigenvalue,
     )
     row = SweepRow(
-        alpha=alpha,
-        omega=omega,
-        temperature=temperature,
-        c_a_i=ai[0],
-        c_a_ii=aii[0],
-        c_i_ii=iii[0],
-        eof_a_i=ai[1],
-        eof_a_ii=aii[1],
-        eof_i_ii=iii[1],
-        mi_a_i=ai[2],
-        mi_a_ii=aii[2],
-        mi_i_ii=iii[2],
-        min_pt_a_i=ai[3],
-        min_pt_a_ii=aii[3],
-        min_pt_i_ii=iii[3],
+        alpha, omega, temperature, *(f(params, pair) for f in closed_forms for pair in _PAIRS)
     )
     if verify:
         _verify([row])
@@ -296,7 +252,7 @@ def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
     """Write the fixed 15-column schema with 12-digit values."""
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        stream.write(",".join(format_number(v) for v in row.as_tuple()) + "\n")
+        stream.write(",".join(format_number(v) for v in row) + "\n")
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
@@ -313,7 +269,7 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
             "mass": config.mass,
         }},
         "rows": [
-            {name: float(format_number(v)) for name, v in zip(CSV_COLUMNS, row.as_tuple())}
+            {name: float(format_number(v)) for name, v in zip(CSV_COLUMNS, row)}
             for row in rows
         ],
     }

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from hawkent.cli import figure_command
-from hawkent.measures import binary_entropy, measure_set, von_neumann_entropy
+from hawkent.measures import (
+    DensityMatrix,
+    MeasureSet,
+    binary_entropy,
+    measure_set,
+    measure_stack,
+    von_neumann_entropy,
+)
 from hawkent.model import (
     ModelParams,
     ModePair,
@@ -23,6 +30,7 @@ from hawkent.model import (
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
+    pair_states,
     reduced_density,
     thermal_factors,
     tripartite_state,
@@ -62,27 +70,37 @@ def _verdict(capsys, number, label):
 
 @pytest.fixture(scope="module")
 def grid():
-    """Closed-form and spectral values over the full 20x20x20 grid."""
-    points = []
+    """Closed-form and spectral values over the full 20x20x20 grid.
+
+    The 24000 pair states are built from the stacked amplitudes and
+    measured in one ``measure_stack`` call, which also runs the density
+    gate on every state.
+    """
     start = time.perf_counter()
-    for alpha in GRID_ALPHAS:
-        for omega in GRID_OMEGAS:
-            for temperature in GRID_TEMPERATURES:
-                params = ModelParams(float(alpha), float(omega), float(temperature))
-                closed = {}
-                spectral = {}
-                pair_entropy = {}
-                for pair in _PAIRS:
-                    closed[pair] = (
-                        closed_form_concurrence(params, pair),
-                        closed_form_eof(params, pair),
-                        closed_form_mutual_information(params, pair),
-                        closed_form_min_pt_eigenvalue(params, pair),
-                    )
-                    rho = reduced_density(params, pair)
-                    spectral[pair] = measure_set(rho)
-                    pair_entropy[pair] = von_neumann_entropy(rho)
-                points.append((params, closed, spectral, pair_entropy))
+    grid_params = [
+        ModelParams(float(alpha), float(omega), float(temperature))
+        for alpha in GRID_ALPHAS
+        for omega in GRID_OMEGAS
+        for temperature in GRID_TEMPERATURES
+    ]
+    amplitudes = np.array([tripartite_state(params) for params in grid_params])
+    states = np.stack([pair_states(amplitudes, pair) for pair in _PAIRS], axis=1)
+    values = measure_stack(states.reshape(-1, 4, 4)).reshape(len(grid_params), len(_PAIRS), 4)
+    points = []
+    for params, point_states, point_values in zip(grid_params, states, values.tolist()):
+        closed = {}
+        spectral = {}
+        pair_entropy = {}
+        for pair, rho, measures in zip(_PAIRS, point_states, point_values):
+            closed[pair] = (
+                closed_form_concurrence(params, pair),
+                closed_form_eof(params, pair),
+                closed_form_mutual_information(params, pair),
+                closed_form_min_pt_eigenvalue(params, pair),
+            )
+            spectral[pair] = MeasureSet(*measures)
+            pair_entropy[pair] = von_neumann_entropy(DensityMatrix(rho, (2, 2)))
+        points.append((params, closed, spectral, pair_entropy))
     elapsed = time.perf_counter() - start
     return points, elapsed
 

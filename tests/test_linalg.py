@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hawkent.linalg import (
-    adjoint,
     hermitian_eigenvalues,
     hermiticity_defect,
-    kron,
-    mat_mul,
     partial_trace,
     partial_transpose,
     psd_square_root_factor,
 )
 
 I2 = np.eye(2)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.diag([1.0, -1.0])
 
@@ -51,59 +47,11 @@ def _complex_matrices(n):
     ).map(lambda parts: parts[0] + 1.0j * parts[1])
 
 
-class TestMatMul:
-    def test_identity(self):
-        assert np.allclose(mat_mul(I2, PAULI_X), PAULI_X)
-
-    def test_pauli_product(self):
-        assert np.allclose(mat_mul(PAULI_X, PAULI_Y), 1.0j * PAULI_Z)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_mul(I2, np.eye(4))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            mat_mul(np.ones((2, 3)), np.ones((3, 2)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            mat_mul(bad, I2)
-
-
-class TestAdjoint:
-    def test_basic(self):
-        a = np.array([[0.0, 1.0j], [0.0, 0.0]])
-        assert np.array_equal(adjoint(a), np.array([[0.0, 0.0], [-1.0j, 0.0]]))
-
-    def test_hermitian_fixed_point(self):
-        assert np.array_equal(adjoint(PAULI_Y), PAULI_Y)
-
-    @given(_complex_matrices(3))
-    def test_involution(self, a):
-        assert np.array_equal(adjoint(adjoint(a)), a.astype(complex))
-
-
-class TestKron:
-    def test_first_factor_is_slow(self):
-        assert np.allclose(kron(np.diag([1.0, 2.0]), I2), np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_identity(self):
-        assert np.allclose(kron(I2, I2), np.eye(4))
-
-    @given(_complex_matrices(2), _complex_matrices(2), _complex_matrices(2))
-    def test_associativity(self, a, b, c):
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        assert np.abs(left - right).max() <= 1e-13
-
-
 class TestPartialTrace:
     def test_product_state_factors(self):
         p = np.diag([0.3, 0.7])
         q = np.array([[0.5, 0.2], [0.2, 0.5]])
-        both = kron(p, q)
+        both = np.kron(p, q)
         assert np.allclose(partial_trace(both, (2, 2), keep="first"), p, atol=1e-14)
         assert np.allclose(partial_trace(both, (2, 2), keep="second"), q, atol=1e-14)
 
@@ -150,10 +98,10 @@ class TestPartialTranspose:
         p = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
         q = np.array([[0.7, 0.2], [0.2, 0.3]])
         assert np.array_equal(
-            partial_transpose(kron(p, q), (2, 2), "first"), kron(p.T, q)
+            partial_transpose(np.kron(p, q), (2, 2), "first"), np.kron(p.T, q)
         )
         assert np.array_equal(
-            partial_transpose(kron(p, q), (2, 2), "second"), kron(p, q.T)
+            partial_transpose(np.kron(p, q), (2, 2), "second"), np.kron(p, q.T)
         )
 
     def test_bell_state_minimum(self):

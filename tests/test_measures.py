@@ -99,6 +99,15 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="bipartition"):
             validate_density(np.eye(4) / 4.0, (3, 2))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            validate_density(np.ones((2, 3)), (2, 1))
+
+    def test_rejects_non_finite(self):
+        bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            validate_density(bad, (2, 1))
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -229,9 +238,7 @@ class TestEntanglementOfFormation:
 
 class TestMutualInformation:
     def test_product_state(self):
-        from hawkent.linalg import kron
-
-        rho = kron(np.diag([0.3, 0.7]), np.array([[0.6, 0.1], [0.1, 0.4]]))
+        rho = np.kron(np.diag([0.3, 0.7]), np.array([[0.6, 0.1], [0.1, 0.4]]))
         assert abs(mutual_information(_state(rho))) <= 1e-12
 
     def test_bell_state(self):
@@ -244,9 +251,7 @@ class TestMutualInformation:
 
 class TestMinPtEigenvalue:
     def test_separable_state_is_ppt(self):
-        from hawkent.linalg import kron
-
-        rho = kron(np.diag([0.3, 0.7]), np.diag([0.6, 0.4]))
+        rho = np.kron(np.diag([0.3, 0.7]), np.diag([0.6, 0.4]))
         assert min_pt_eigenvalue(_state(rho)) >= -1e-10
 
     def test_bell_state(self):
@@ -337,6 +342,15 @@ class TestMeasureStack:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="stack"):
             measure_stack(np.eye(4) / 4.0)
+
+    def test_rejects_non_finite(self):
+        bad = np.eye(4) / 4.0
+        bad[1, 2] = np.inf
+        with pytest.raises(ValueError) as want:
+            validate_density(bad, (2, 2))
+        with pytest.raises(ValueError) as got:
+            measure_stack(np.array([RHO_AI, bad, RHO_BELL]))
+        assert str(got.value) == str(want.value) == "matrix contains non-finite entries"
 
 
 class TestRandomStateProperties:

@@ -87,6 +87,8 @@ class TestSweepSpecValidation:
             (dict(vary="temperature", min=0.1, max=1.0, steps=3, alpha=1.2, omega=1.0), "alpha"),
             (dict(vary="temperature", min=0.1, max=1.0, steps=3, alpha=0.5, omega=0.0), "omega"),
             (dict(vary="alpha", min=0.1, max=0.9, steps=3, omega=1.0, temperature=-2.0), "temperature"),
+            # an integral float is still not an integer
+            (dict(vary="temperature", min=0.1, max=1.0, steps=3.0, alpha=0.5, omega=1.0), "steps"),
         ],
     )
     def test_rejects_bad_spec(self, kwargs, match):
