@@ -69,7 +69,7 @@ def _param_value(name: str):
 def _positive_value(text: str) -> float:
     value = _float(text)
     if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "tripartite_state",
     "reduced_density",
     "pair_states",
+    "closed_forms",
     "closed_form_concurrence",
     "closed_form_min_pt_eigenvalue",
     "closed_form_eof",
@@ -62,9 +63,9 @@ def check_params(alpha=None, omega=None, temperature=None) -> None:
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     if omega is not None and not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if temperature is not None and not 0.0 <= temperature < math.inf:
-        raise ValueError(f"temperature must be non-negative, got {temperature!r}")
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
 
 
 class ModePair(Enum):
@@ -130,34 +131,50 @@ class LimitReport:
 def hawking_temperature(mass: float) -> float:
     """``T = 1 / (8 pi M)`` in geometric units (G = c = hbar = k = 1)."""
     if not (math.isfinite(mass) and mass > 0.0):
-        raise ValueError(f"mass must be positive, got {mass!r}")
-    return 1.0 / (8.0 * math.pi * mass)
+        raise ValueError(f"mass must be positive and finite, got {mass!r}")
+    temperature = 1.0 / (8.0 * math.pi * mass)
+    if not math.isfinite(temperature):
+        raise ValueError(f"mass {mass!r} is too small: its Hawking temperature overflows")
+    return temperature
+
+
+def _weights(omega: float, temperature: float) -> tuple[float, float]:
+    """``(f-, f+)`` at an already checked ``(omega, T)``.
+
+    At T = 0 the pair is exactly (1, 0).  Evaluated through ``x = w/T``
+    so that large ratios underflow gracefully instead of overflowing.
+    """
+    if temperature == 0.0:
+        return 1.0, 0.0
+    x = omega / temperature
+    denom = math.sqrt(1.0 + math.exp(-x))
+    return 1.0 / denom, math.exp(-x / 2.0) / denom
 
 
 def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     """Thermal weights at frequency ``omega`` and temperature ``T``.
 
-    ``f- = (exp(-w/T) + 1)^(-1/2)`` and ``f+ = (exp(w/T) + 1)^(-1/2)``.
-    At T = 0 the pair is exactly (1, 0).  Evaluated through
-    ``x = w/T`` so that large ratios underflow gracefully instead of
-    overflowing.
+    ``f- = (exp(-w/T) + 1)^(-1/2)`` and ``f+ = (exp(w/T) + 1)^(-1/2)``;
+    at T = 0 the pair is exactly (1, 0).
     """
     check_params(omega=omega, temperature=temperature)
-    if temperature == 0.0:
-        return ThermalFactors(f_minus=1.0, f_plus=0.0)
-    x = omega / temperature
-    denom = math.sqrt(1.0 + math.exp(-x))
-    return ThermalFactors(f_minus=1.0 / denom, f_plus=math.exp(-x / 2.0) / denom)
+    return ThermalFactors(*_weights(omega, temperature))
+
+
+def _amplitudes(points) -> np.ndarray:
+    """``(N, 8)`` amplitude vectors of checked ``(alpha, omega, T)`` points."""
+    support = []
+    for alpha, omega, temperature in points:
+        f_minus, f_plus = _weights(omega, temperature)
+        support.append((alpha * f_minus, alpha * f_plus, math.sqrt(1.0 - alpha**2)))
+    amp = np.zeros((len(support), 8))
+    amp[:, [0, 3, 6]] = support  # |000>, |011>, |110>
+    return amp
 
 
 def tripartite_state(params: ModelParams) -> np.ndarray:
     """Amplitude vector of ``|psi>`` in the ``4m + 2n + p`` basis."""
-    f = thermal_factors(params.omega, params.temperature)
-    amp = np.zeros(8)
-    amp[0] = params.alpha * f.f_minus  # |000>
-    amp[3] = params.alpha * f.f_plus  # |011>
-    amp[6] = math.sqrt(1.0 - params.alpha**2)  # |110>
-    return amp
+    return _amplitudes([(params.alpha, params.omega, params.temperature)])[0]
 
 
 # einsum subscripts over psi[n, A, I, II] that trace out the third mode
@@ -183,80 +200,83 @@ def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
 
 
-def closed_form_concurrence(params: ModelParams, pair: ModePair) -> float:
-    """Concurrence of the pair as an explicit function of the inputs.
+def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float, ...]:
+    """The twelve pair measures at one point, as explicit functions of the inputs.
 
-    A_I and A_II keep the pure-state value ``2 alpha sqrt(1-alpha^2)``
-    scaled by ``f-`` and ``f+`` respectively.  The I_II reduction is an
-    X state whose only coherence is ``<00|rho|11> = alpha^2 f- f+`` and
-    whose |01>/|10> populations vanish, so its concurrence is twice
-    that coherence.
+    Returned in the order of the sweep's CSV columns: concurrence, EoF,
+    mutual information and min PT eigenvalue, each for A_I, A_II, I_II.
+    The thermal weights are computed once.  The point is not
+    range-checked here; callers pass a :class:`ModelParams` or a
+    ``SweepSpec`` grid value, or call :func:`check_params` first.
+
+    Concurrence: A_I and A_II keep the pure-state value
+    ``2 alpha sqrt(1-alpha^2)`` scaled by ``f-`` and ``f+``.  The I_II
+    reduction is an X state whose only coherence is
+    ``<00|rho|11> = alpha^2 f- f+`` and whose |01>/|10> populations
+    vanish, so its concurrence is twice that coherence.  EoF follows
+    from the concurrence.
+
+    Mutual information, in bits: every marginal and every pair
+    reduction of ``|psi>`` has a two-point spectrum, so each term is a
+    binary entropy: ``S(rho_A) = H2(alpha^2)``,
+    ``S(rho_I) = H2(alpha^2 f-^2)``, ``S(rho_II) = H2(alpha^2 f+^2)``,
+    and the pair entropy equals the entropy of the traced-out mode.
+
+    Min PT eigenvalue: each reduction couples one diagonal population
+    ``d`` to the coherence ``c`` moved off-axis by the transpose, giving
+    the block eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
     """
-    f = thermal_factors(params.omega, params.temperature)
-    a = params.alpha
-    root = math.sqrt(1.0 - a * a)
-    if pair is ModePair.A_I:
-        return 2.0 * a * root * f.f_minus
-    if pair is ModePair.A_II:
-        return 2.0 * a * root * f.f_plus
-    if pair is ModePair.I_II:
-        return 2.0 * a * a * f.f_minus * f.f_plus
-    raise ValueError(f"unknown mode pair {pair!r}")
-
-
-def closed_form_min_pt_eigenvalue(params: ModelParams, pair: ModePair) -> float:
-    """Smallest partial-transpose eigenvalue of the pair.
-
-    Each reduction couples one diagonal population ``d`` to the
-    coherence ``c`` moved off-axis by the transpose, giving the block
-    eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
-    """
-    f = thermal_factors(params.omega, params.temperature)
-    a2 = params.alpha**2
+    f_minus, f_plus = _weights(omega, temperature)
+    pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
+    c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
+    eof = [binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - x * x))) / 2.0) for x in c]
+    a2 = alpha**2
     b2 = 1.0 - a2
-    fm2 = f.f_minus**2
-    fp2 = f.f_plus**2
-    if pair is ModePair.A_I:
-        d = a2 * fp2
-        cc4 = 4.0 * a2 * b2 * fm2
-    elif pair is ModePair.A_II:
-        d = a2 * fm2
-        cc4 = 4.0 * a2 * b2 * fp2
-    elif pair is ModePair.I_II:
-        d = b2
-        cc4 = 4.0 * a2 * a2 * fm2 * fp2
-    else:
-        raise ValueError(f"unknown mode pair {pair!r}")
-    return 0.5 * (d - math.sqrt(d * d + cc4))
+    fm2 = f_minus**2
+    fp2 = f_plus**2
+    s_a = binary_entropy(a2)
+    s_i = binary_entropy(a2 * fm2)
+    s_ii = binary_entropy(a2 * fp2)
+    four_ab = 4.0 * a2 * b2
+    # (d, 4 c^2) of the A_I, A_II and I_II partial transposes
+    blocks = (
+        (a2 * fp2, four_ab * fm2),
+        (a2 * fm2, four_ab * fp2),
+        (b2, 4.0 * a2 * a2 * fm2 * fp2),
+    )
+    return (
+        *c,
+        *eof,
+        s_a + s_i - s_ii,
+        s_a + s_ii - s_i,
+        s_i + s_ii - s_a,
+        *(0.5 * (d - math.sqrt(d * d + cc4)) for d, cc4 in blocks),
+    )
+
+
+def _closed_form(measure: int, params: ModelParams, pair: ModePair) -> float:
+    values = closed_forms(params.alpha, params.omega, params.temperature)
+    return values[3 * measure + list(ModePair).index(pair)]
+
+
+def closed_form_concurrence(params: ModelParams, pair: ModePair) -> float:
+    """Concurrence of the pair; see :func:`closed_forms`."""
+    return _closed_form(0, params, pair)
 
 
 def closed_form_eof(params: ModelParams, pair: ModePair) -> float:
-    """Entanglement of formation from the closed-form concurrence."""
-    c = closed_form_concurrence(params, pair)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    """Entanglement of formation of the pair; see :func:`closed_forms`."""
+    return _closed_form(1, params, pair)
 
 
 def closed_form_mutual_information(params: ModelParams, pair: ModePair) -> float:
-    """Mutual information of the pair, in bits.
+    """Mutual information of the pair, in bits; see :func:`closed_forms`."""
+    return _closed_form(2, params, pair)
 
-    Every marginal and every pair reduction of ``|psi>`` has a two-point
-    spectrum, so each term is a binary entropy:
-    ``S(rho_A) = H2(alpha^2)``, ``S(rho_I) = H2(alpha^2 f-^2)``,
-    ``S(rho_II) = H2(alpha^2 f+^2)``, and the pair entropy equals the
-    entropy of the traced-out third mode.
-    """
-    f = thermal_factors(params.omega, params.temperature)
-    a2 = params.alpha**2
-    s_a = binary_entropy(a2)
-    s_i = binary_entropy(a2 * f.f_minus**2)
-    s_ii = binary_entropy(a2 * f.f_plus**2)
-    if pair is ModePair.A_I:
-        return s_a + s_i - s_ii
-    if pair is ModePair.A_II:
-        return s_a + s_ii - s_i
-    if pair is ModePair.I_II:
-        return s_i + s_ii - s_a
-    raise ValueError(f"unknown mode pair {pair!r}")
+
+def closed_form_min_pt_eigenvalue(params: ModelParams, pair: ModePair) -> float:
+    """Smallest partial-transpose eigenvalue of the pair; see :func:`closed_forms`."""
+    return _closed_form(3, params, pair)
 
 
 def asymptotic_limits(alpha: float) -> LimitReport:

@@ -2,13 +2,16 @@
 
 A sweep varies exactly one of (alpha, omega, temperature) over an
 ascending grid while the other two stay fixed.  Each grid point yields
-one row of twelve measures (four per mode pair), computed from the
-closed forms.  In verify mode the whole grid is then recomputed through
-the spectral route in one pass: the reduced states of every point and
-pair are built as one ``(N, 3, 4, 4)`` stack, :func:`measure_stack`
+one row of twelve measures (four per mode pair) from one call of
+:func:`~hawkent.model.closed_forms`, which computes the thermal weights
+once per point.  In verify mode the whole grid is then recomputed
+through the spectral route in one pass: the amplitudes of every point
+come from the same thermal weights, the reduced states of every point
+and pair are built as one ``(N, 3, 4, 4)`` stack, :func:`measure_stack`
 measures them all at once, and the run aborts on the first
 disagreement beyond 1e-9 in grid order, so emitted numbers are never
-untested.  The emitted values are the closed forms either way.
+untested.  The spectral route never reads a closed-form value, and the
+emitted values are the closed forms either way.
 
 Numbers are rendered with 12 significant digits in both formats; JSON
 values are rounded to the same digits, so the two emissions of one run
@@ -27,17 +30,7 @@ from typing import IO
 import numpy as np
 
 from .measures import measure_stack
-from .model import (
-    ModelParams,
-    ModePair,
-    check_params,
-    closed_form_concurrence,
-    closed_form_eof,
-    closed_form_min_pt_eigenvalue,
-    closed_form_mutual_information,
-    pair_states,
-    tripartite_state,
-)
+from .model import ModePair, _amplitudes, check_params, closed_forms, pair_states
 
 __all__ = [
     "CSV_COLUMNS",
@@ -187,7 +180,7 @@ def _verify(rows: list[SweepRow]) -> None:
     measure), in grid order, whose closed-form and spectral values
     differ by more than ``VERIFY_ATOL``.
     """
-    amplitudes = np.array([tripartite_state(ModelParams(*r[:3])) for r in rows])
+    amplitudes = _amplitudes([r[:3] for r in rows])
     states = np.stack([pair_states(amplitudes, pair) for pair in _PAIRS], axis=1)
     spectral = measure_stack(states.reshape(-1, 4, 4)).reshape(len(rows), len(_PAIRS), 4)
     # CSV columns after the parameters run measure by measure, pair by pair
@@ -208,22 +201,13 @@ def evaluate_point(
 ) -> SweepRow:
     """Closed-form measures at one point, optionally cross-checked.
 
-    With ``verify`` on, the three pair states of the point go through
-    the same stacked spectral check as a sweep, as a batch of one; a
-    gap above ``VERIFY_ATOL`` raises :class:`VerificationError` naming
-    the point and the measure.
+    The parameters are range-checked first.  With ``verify`` on, the
+    three pair states of the point go through the same stacked spectral
+    check as a sweep, as a batch of one; a gap above ``VERIFY_ATOL``
+    raises :class:`VerificationError` naming the point and the measure.
     """
-    params = ModelParams(alpha=alpha, omega=omega, temperature=temperature)
-    # looked up per call, so that rebinding hawkent.sweep.closed_form_* takes effect
-    closed_forms = (
-        closed_form_concurrence,
-        closed_form_eof,
-        closed_form_mutual_information,
-        closed_form_min_pt_eigenvalue,
-    )
-    row = SweepRow(
-        alpha, omega, temperature, *(f(params, pair) for f in closed_forms for pair in _PAIRS)
-    )
+    check_params(alpha, omega, temperature)
+    row = SweepRow(alpha, omega, temperature, *closed_forms(alpha, omega, temperature))
     if verify:
         _verify([row])
     return row
@@ -232,17 +216,19 @@ def evaluate_point(
 def run_sweep(config: RunConfig) -> list[SweepRow]:
     """Evaluate the sweep grid in ascending order.
 
-    Rows come from the closed forms point by point.  With
+    Each row comes from one :func:`closed_forms` call at its grid point;
+    ``SweepSpec`` has already range-checked the whole grid.  With
     ``config.verify`` on, the whole grid is then checked in one stacked
-    spectral pass; the rows, and so the emitted bytes, are the same as
+    spectral pass.  The rows, and so the emitted bytes, are the same as
     from :func:`evaluate_point` called on each grid value in turn.
     """
     spec = config.sweep
-    fixed = {name: getattr(spec, name) for name in _VARIABLES}
+    point = [getattr(spec, name) for name in _VARIABLES]
+    varied = _VARIABLES.index(spec.vary)
     rows = []
-    for value in grid_values(spec):
-        fixed[spec.vary] = float(value)
-        rows.append(evaluate_point(verify=False, **fixed))
+    for value in grid_values(spec).tolist():
+        point[varied] = value
+        rows.append(SweepRow(*point, *closed_forms(*point)))
     if config.verify:
         _verify(rows)
     return rows

@@ -6,8 +6,7 @@ import math
 import pytest
 
 from hawkent.cli import figure_command, limits_command, main, parse_args
-from hawkent.model import ModePair, hawking_temperature
-from hawkent.model import closed_form_concurrence as real_concurrence
+from hawkent.model import ModePair, closed_forms, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, RunConfig, evaluate_point, format_number
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -69,6 +68,25 @@ class TestMeasureCommand:
         with pytest.raises(SystemExit) as exc:
             main(["measure", "--alpha", "0.5", "--omega", "1"])
         assert exc.value.code == 2
+
+    def test_overflowing_mass_exits_2_naming_the_mass(self, capsys):
+        code = main(["measure", "--alpha", "0.5", "--omega", "1", "--mass", "1e-320"])
+        assert code == 2
+        assert "error: mass 1e-320 is too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--omega", "inf", "--temperature", "1"], "omega must be positive and finite, got inf"),
+            (["--omega", "1", "--temperature", "inf"], "temperature must be non-negative and finite, got inf"),
+            (["--omega", "1", "--mass", "inf"], "must be positive and finite, got inf"),
+        ],
+    )
+    def test_infinite_parameter_exits_2(self, capsys, args, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--alpha", "0.5", *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestParserValidation:
@@ -205,10 +223,11 @@ class TestSweepCommand:
             assert cells[5] == "0.00000000000"  # C_I_II vanishes at T = 0
 
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
-        def skewed(params, pair):
-            return real_concurrence(params, pair) + 1e-6
+        def skewed(alpha, omega, temperature):
+            values = closed_forms(alpha, omega, temperature)
+            return (*(c + 1e-6 for c in values[:3]), *values[3:])
 
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        monkeypatch.setattr("hawkent.sweep.closed_forms", skewed)
         code = main(SWEEP_ARGS)
         captured = capsys.readouterr()
         assert code == 3

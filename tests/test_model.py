@@ -1,6 +1,7 @@
 """Tests for the three-mode horizon state and its closed-form measures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from hawkent.model import (
     ModelParams,
     ModePair,
     asymptotic_limits,
+    check_params,
     closed_form_concurrence,
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
+    closed_forms,
     hawking_temperature,
     reduced_density,
     thermal_factors,
@@ -76,6 +79,13 @@ class TestHawkingTemperature:
     def test_rejects_bad_mass(self, mass):
         with pytest.raises(ValueError, match="mass"):
             hawking_temperature(mass)
+
+    def test_overflowing_temperature_names_the_mass(self):
+        with pytest.raises(ValueError, match="mass 1e-320 is too small"):
+            hawking_temperature(1e-320)
+
+    def test_tiny_mass_with_finite_temperature(self):
+        assert hawking_temperature(1e-300) == 1.0 / (8.0 * math.pi * 1e-300)
 
 
 class TestThermalFactors:
@@ -228,6 +238,14 @@ class TestClosedFormsAgainstSpectralRoute:
             assert abs(closed_form_eof(SPOT, pair) - SPOT_EOF[pair]) <= 1e-14
             assert abs(closed_form_mutual_information(SPOT, pair) - SPOT_MI[pair]) <= 1e-14
             assert abs(closed_form_min_pt_eigenvalue(SPOT, pair) - SPOT_MIN_PT[pair]) <= 1e-14
+
+    def test_closed_forms_follow_the_csv_order(self):
+        values = closed_forms(SPOT.alpha, SPOT.omega, SPOT.temperature)
+        tables = (SPOT_CONCURRENCE, SPOT_EOF, SPOT_MI, SPOT_MIN_PT)
+        frozen = [table[pair] for table in tables for pair in ModePair]
+        assert len(values) == 12
+        for got, want in zip(values, frozen):
+            assert abs(got - want) <= 1e-14
 
 
 class TestStructuralIdentities:
@@ -400,6 +418,17 @@ class TestModelParamsValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("omega", "omega must be positive and finite, got inf"),
+            ("temperature", "temperature must be non-negative and finite, got inf"),
+        ],
+    )
+    def test_infinite_parameter_is_named_as_such(self, name, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_params(**{name: math.inf})
 
     def test_accepts_boundary_temperature(self):
         assert ModelParams(0.5, 1.0, 0.0).temperature == 0.0

@@ -4,18 +4,22 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hawkent.model import ModelParams, ModePair
-from hawkent.model import closed_form_concurrence as real_concurrence
 from hawkent.model import (
+    closed_form_concurrence,
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
+    closed_forms,
 )
 from hawkent.sweep import (
+    _MEASURES,
+    _PAIRS,
     CSV_COLUMNS,
     RunConfig,
     SweepRow,
@@ -193,7 +197,7 @@ class TestRunSweep:
             assert r.omega == 1.0
             assert r.temperature == 1.0
             params = ModelParams(r.alpha, 1.0, 1.0)
-            assert abs(r.c_a_i - real_concurrence(params, ModePair.A_I)) <= 1e-15
+            assert abs(r.c_a_i - closed_form_concurrence(params, ModePair.A_I)) <= 1e-15
 
     def test_batch_size_does_not_change_output(self):
         spec = SweepSpec(
@@ -247,8 +251,8 @@ class TestEmitCsv:
                 float(record["temperature"]),
             )
             checks = (
-                ("C_A_I", real_concurrence(params, ModePair.A_I)),
-                ("C_I_II", real_concurrence(params, ModePair.I_II)),
+                ("C_A_I", closed_form_concurrence(params, ModePair.A_I)),
+                ("C_I_II", closed_form_concurrence(params, ModePair.I_II)),
                 ("EoF_A_II", closed_form_eof(params, ModePair.A_II)),
                 ("MI_A_I", closed_form_mutual_information(params, ModePair.A_I)),
                 ("minPT_A_I", closed_form_min_pt_eigenvalue(params, ModePair.A_I)),
@@ -310,46 +314,55 @@ class TestEmitJson:
                 assert float(cell) == entry[column]
 
 
+def _skew(monkeypatch, entries=(0, 1, 2), temperature=None):
+    """Add 1e-6 to the ``entries`` of ``hawkent.sweep.closed_forms``.
+
+    The default entries are the three concurrences; with ``temperature``
+    given, only points at that temperature are skewed.
+    """
+
+    def skewed(a, w, t):
+        values = list(closed_forms(a, w, t))
+        if temperature is None or t == temperature:
+            for k in entries:
+                values[k] += 1e-6
+        return tuple(values)
+
+    monkeypatch.setattr("hawkent.sweep.closed_forms", skewed)
+
+
 class TestVerification:
     def test_mismatch_raises(self, monkeypatch):
-        def skewed(params, pair):
-            return real_concurrence(params, pair) + 1e-6
-
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        _skew(monkeypatch)
         with pytest.raises(VerificationError, match="mismatch.*concurrence"):
             evaluate_point(0.5, 1.0, 1.0)
 
     def test_mismatch_names_the_point(self, monkeypatch):
-        def skewed(params, pair):
-            return real_concurrence(params, pair) + 1e-6
-
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        _skew(monkeypatch)
         with pytest.raises(VerificationError, match="alpha=0.5.*temperature=3"):
             evaluate_point(0.5, 1.0, 3.0)
 
     def test_verify_off_skips_the_check(self, monkeypatch):
-        def skewed(params, pair):
-            return real_concurrence(params, pair) + 1e-6
-
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        _skew(monkeypatch)
         row = evaluate_point(0.5, 1.0, 1.0, verify=False)
         assert row.c_a_i > 0.0
 
     def test_run_sweep_propagates(self, monkeypatch):
-        def skewed(params, pair):
-            return real_concurrence(params, pair) + 1e-6
-
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        _skew(monkeypatch)
         spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
         with pytest.raises(VerificationError):
             run_sweep(_config(spec))
 
     def test_sweep_reports_first_failure_in_grid_order(self, monkeypatch):
-        def skewed(params, pair):
-            shift = 1e-6 if params.temperature == 3.0 else 0.0
-            return real_concurrence(params, pair) + shift
-
-        monkeypatch.setattr("hawkent.sweep.closed_form_concurrence", skewed)
+        _skew(monkeypatch, temperature=3.0)
         spec = SweepSpec(vary="temperature", min=1.0, max=5.0, steps=5, alpha=0.5, omega=1.0)
         with pytest.raises(VerificationError, match="temperature=3: A_I concurrence"):
+            run_sweep(_config(spec))
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_each_entry_is_reported_by_its_pair_and_measure(self, monkeypatch, k):
+        _skew(monkeypatch, entries=(k,))
+        spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
+        expected = f"{_PAIRS[k % 3].value} {_MEASURES[k // 3]}: "
+        with pytest.raises(VerificationError, match=re.escape(expected)):
             run_sweep(_config(spec))
