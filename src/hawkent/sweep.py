@@ -13,9 +13,13 @@ disagreement beyond 1e-9 in grid order, so emitted numbers are never
 untested.  The spectral route never reads a closed-form value, and the
 emitted values are the closed forms either way.
 
-Numbers are rendered with 12 significant digits in both formats; JSON
-values are rounded to the same digits, so the two emissions of one run
-agree to better than 1e-12.
+Emission formats every cell once.  One line template renders a row's
+fifteen cells with 12 significant digits (``-0.0`` printed as ``0.0``)
+in one call; CSV writes those lines as they are, and JSON parses each
+cell back with ``float()`` and writes the ``rows`` array as text in the
+``indent=1`` layout, so every JSON value is the exact value of its CSV
+cell.  :func:`format_number` renders single values with the same cell
+format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -159,11 +163,23 @@ class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for 
         return tuple(self)
 
 
+# 12 significant digits, trailing zeros kept
+_CELL = "%#.12g"
+_CSV_LINE = ",".join([_CELL] * len(CSV_COLUMNS))
+# one element of the JSON rows array, as json.dump(..., indent=1) lays it out
+_JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n  }"
+
+
+def _render(template: str, values: tuple) -> str:
+    """``template % values`` with every ``-0.0`` printed as ``0.0``."""
+    if 0.0 in values:  # also true for -0.0; v + 0.0 is v except that -0.0 becomes 0.0
+        values = tuple([v + 0.0 for v in values])
+    return template % values
+
+
 def format_number(x: float) -> str:
     """Render a float with 12 significant digits."""
-    if x == 0.0:
-        x = 0.0  # fold -0.0 into 0.0
-    return format(x, "#.12g")
+    return _render(_CELL, (x,))
 
 
 def grid_values(spec: SweepSpec) -> np.ndarray:
@@ -234,30 +250,56 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return rows
 
 
+def _csv_lines(rows: list[SweepRow]) -> list[str]:
+    """Each row as one CSV line of 12-digit cells, without its newline.
+
+    Raises ``ValueError`` for the first row whose width is not that of
+    ``CSV_COLUMNS``.
+    """
+    lines = []
+    for i, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"row {i} has {len(row)} values, expected {len(CSV_COLUMNS)}")
+        lines.append(_render(_CSV_LINE, row))
+    return lines
+
+
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
-    """Write the fixed 15-column schema with 12-digit values."""
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(format_number(v) for v in row) + "\n")
+    """Write the fixed 15-column schema with 12-digit values.
+
+    Every row is rendered before anything is written, so a row of the
+    wrong width raises ``ValueError`` and leaves ``stream`` untouched.
+    """
+    stream.write("\n".join([",".join(CSV_COLUMNS), *_csv_lines(rows), ""]))
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
     """Write a top-level object with a config echo and a rows array.
 
-    Row values are rounded to the same 12 significant digits as the CSV
-    rendering, so the two formats agree numerically.
+    The bytes are those of ``json.dump(payload, stream, indent=1)``
+    plus a newline, where ``payload`` holds the config echo (or None)
+    and, for each row, an object from column name to the row's value
+    rounded to 12 significant digits.  Each JSON value is ``float()``
+    of its CSV cell, so the two formats agree exactly.  NaN and
+    infinities keep ``json``'s spelling.  Rows of the wrong width raise
+    ``ValueError`` before anything is written.
     """
-    payload = {
-        "config": None if config is None else {**asdict(config.sweep), **{
-            "format": config.output_format,
-            "out": config.out,
-            "verify": config.verify,
-            "mass": config.mass,
-        }},
-        "rows": [
-            {name: float(format_number(v)) for name, v in zip(CSV_COLUMNS, row)}
-            for row in rows
-        ],
+    lines = _csv_lines(rows)  # raises on a bad row before anything is written
+    echo = None if config is None else {
+        **asdict(config.sweep),
+        "format": config.output_format,
+        "out": config.out,
+        "verify": config.verify,
+        "mass": config.mass,
     }
-    json.dump(payload, stream, indent=1)
-    stream.write("\n")
+    text = json.dumps({"config": echo, "rows": []}, indent=1)
+    records = []
+    for line in lines:
+        cells = map(float, line.split(","))
+        if "n" in line:  # nan or inf: a finite 12-digit cell has no "n"
+            cells = map(json.dumps, cells)
+        records.append(_JSON_RECORD % tuple(cells))
+    if records:
+        text = text.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n ]\n}"
+    stream.write(text + "\n")

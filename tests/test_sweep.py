@@ -1,6 +1,7 @@
 """Tests for the sweep driver and its CSV/JSON emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -313,6 +314,84 @@ class TestEmitJson:
             for cell, column in zip(line.split(","), CSV_COLUMNS):
                 assert float(cell) == entry[column]
 
+
+
+def _old_cell(v):
+    """The cell rendering of the per-cell emitters, kept as the oracle."""
+    if v == 0.0:
+        v = 0.0
+    return format(v, "#.12g")
+
+
+def _old_csv(rows):
+    lines = [",".join(CSV_COLUMNS)] + [",".join(_old_cell(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _old_json(rows, config):
+    payload = {
+        "config": None if config is None else {**dataclasses.asdict(config.sweep), **{
+            "format": config.output_format,
+            "out": config.out,
+            "verify": config.verify,
+            "mass": config.mass,
+        }},
+        "rows": [{name: float(_old_cell(v)) for name, v in zip(CSV_COLUMNS, row)} for row in rows],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def _rows_cycling(cells):
+    """Rows that put each cell in each column, once per starting offset."""
+    return [tuple(cells[(i + k) % len(cells)] for k in range(len(CSV_COLUMNS))) for i in range(len(cells))]
+
+
+# 123456789012345.0 takes exponent form at 12 digits but not in repr
+EDGE_CELLS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1.0, 0.1, 123456789012345.0)
+NONFINITE_CELLS = (math.nan, math.inf, -math.inf, 0.5, -0.0)
+EDGE_ROW_SETS = {
+    "edge": _rows_cycling(EDGE_CELLS),
+    "nonfinite": _rows_cycling(NONFINITE_CELLS),
+    "mixed": _rows_cycling(EDGE_CELLS)[:2] + _rows_cycling(NONFINITE_CELLS)[:1] + _rows_cycling(EDGE_CELLS)[2:3],
+    "empty": [],
+}
+EDGE_CONFIGS = {
+    "none": None,
+    "sweep": _config(),
+    "escaped_out": _config(output_format="json", out='a "q" \\ b\nc \u00e9\u2603', mass=1e-300),
+}
+
+
+class TestEmissionBytes:
+    @pytest.mark.parametrize("rows", EDGE_ROW_SETS.values(), ids=EDGE_ROW_SETS.keys())
+    def test_csv_matches_per_cell_rendering(self, rows):
+        out = io.StringIO()
+        emit_csv(rows, out)
+        assert out.getvalue() == _old_csv(rows)
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    @pytest.mark.parametrize("rows", EDGE_ROW_SETS.values(), ids=EDGE_ROW_SETS.keys())
+    def test_json_matches_json_dump(self, rows, config):
+        out = io.StringIO()
+        emit_json(rows, out, config)
+        assert out.getvalue() == _old_json(rows, config)
+
+    def test_exponent_cell_keeps_its_json_spelling(self):
+        rows = [(123456789012345.0,) * len(CSV_COLUMNS)]
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        emit_csv(rows, csv_out)
+        emit_json(rows, json_out)
+        assert csv_out.getvalue().splitlines()[1].split(",")[0] == "1.23456789012e+14"
+        assert '"alpha": 123456789012000.0,' in json_out.getvalue()
+
+    @pytest.mark.parametrize("width", [len(CSV_COLUMNS) - 1, len(CSV_COLUMNS) + 1])
+    @pytest.mark.parametrize("emit", [emit_csv, emit_json])
+    def test_wrong_width_raises_before_writing(self, emit, width):
+        rows = [(0.5,) * len(CSV_COLUMNS), (0.5,) * width, (0.5,) * 3]
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=f"row 1 has {width} values, expected {len(CSV_COLUMNS)}"):
+            emit(rows, out)
+        assert out.getvalue() == ""
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None):
     """Add 1e-6 to the ``entries`` of ``hawkent.sweep.closed_forms``.
