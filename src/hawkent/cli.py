@@ -4,6 +4,14 @@ Four subcommands: ``measure`` (one parameter point), ``sweep`` (grid
 over one parameter, CSV or JSON), ``figure`` (canned temperature-sweep
 tables of one measure family), ``limits`` (both temperature extremes).
 
+argparse checks only syntax and passes raw floats and integers on.
+Each value is range-checked once, by the library: ``check_params``
+(through ``evaluate_point``, ``SweepSpec`` and ``asymptotic_limits``)
+for alpha, omega and the temperature, ``hawking_temperature`` for the
+mass, ``SweepSpec`` for the grid.  Every invalid value exits with
+code 2, usage text and the library's message, before any output is
+written.
+
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 closed-form
 vs spectral verification failure, 4 output write failure.
 """
@@ -16,7 +24,7 @@ import math
 import sys
 from dataclasses import astuple
 
-from .model import asymptotic_limits, check_params, hawking_temperature
+from .model import asymptotic_limits, hawking_temperature
 from .sweep import (
     CSV_COLUMNS,
     RunConfig,
@@ -32,7 +40,6 @@ from .sweep import (
 __all__ = ["build_parser", "parse_args", "figure_command", "limits_command", "main"]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_WRITE = 4
 
@@ -45,51 +52,6 @@ _FIGURE_COLUMNS = {
 }
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-
-
-def _param_value(name: str):
-    """argparse type for the model parameter ``name``, range-checked by ``check_params``."""
-
-    def parse(text: str) -> float:
-        value = _float(text)
-        try:
-            check_params(**{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    return parse
-
-
-def _positive_value(text: str) -> float:
-    value = _float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _finite_value(text: str) -> float:
-    value = _float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _steps_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"steps must be >= 2, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkent",
@@ -99,24 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     measure = sub.add_parser("measure", help="all twelve measures at one parameter point")
-    measure.add_argument("--alpha", type=_param_value("alpha"), required=True)
-    measure.add_argument("--omega", type=_param_value("omega"), required=True)
-    measure.add_argument("--temperature", type=_param_value("temperature"))
-    measure.add_argument("--mass", type=_positive_value, help="black-hole mass; sets T = 1/(8 pi M)")
+    measure.add_argument("--alpha", type=float, required=True)
+    measure.add_argument("--omega", type=float, required=True)
+    measure.add_argument("--temperature", type=float)
+    measure.add_argument("--mass", type=float, help="black-hole mass; sets T = 1/(8 pi M)")
     measure.add_argument("--verify", choices=("on", "off"), default="on",
                          help="cross-check closed forms against the spectral route")
     measure.set_defaults(handler=_cmd_measure)
 
     swp = sub.add_parser("sweep", help="vary one parameter over a grid")
     swp.add_argument("--vary", choices=("alpha", "omega", "temperature"), required=True)
-    swp.add_argument("--min", type=_finite_value, required=True)
-    swp.add_argument("--max", type=_finite_value, required=True)
-    swp.add_argument("--steps", type=_steps_value, required=True)
+    swp.add_argument("--min", type=float, required=True)
+    swp.add_argument("--max", type=float, required=True)
+    swp.add_argument("--steps", type=int, required=True)
     swp.add_argument("--scale", choices=("linear", "log"), default="linear")
-    swp.add_argument("--alpha", type=_param_value("alpha"))
-    swp.add_argument("--omega", type=_param_value("omega"))
-    swp.add_argument("--temperature", type=_param_value("temperature"))
-    swp.add_argument("--mass", type=_positive_value, help="black-hole mass; sets T = 1/(8 pi M)")
+    swp.add_argument("--alpha", type=float)
+    swp.add_argument("--omega", type=float)
+    swp.add_argument("--temperature", type=float)
+    swp.add_argument("--mass", type=float, help="black-hole mass; sets T = 1/(8 pi M)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--out", help="output path (default: stdout)")
     swp.add_argument("--verify", choices=("on", "off"), default="on",
@@ -129,29 +91,29 @@ def build_parser() -> argparse.ArgumentParser:
         "(1: concurrence, 2: EoF, 3: mutual information)",
     )
     fig.add_argument("which", type=int, choices=(1, 2, 3))
-    fig.add_argument("--alpha", type=_param_value("alpha"), default=_DEFAULT_FIGURE_ALPHA,
+    fig.add_argument("--alpha", type=float, default=_DEFAULT_FIGURE_ALPHA,
                      help="superposition weight (default: 1/sqrt(2))")
-    fig.add_argument("--omega", type=_param_value("omega"), default=1.0)
-    fig.add_argument("--max", type=_positive_value, default=10.0, dest="t_max",
+    fig.add_argument("--omega", type=float, default=1.0)
+    fig.add_argument("--max", type=float, default=10.0, dest="t_max",
                      help="top of the temperature grid (default: 10)")
-    fig.add_argument("--steps", type=_steps_value, default=200)
+    fig.add_argument("--steps", type=int, default=200)
     fig.add_argument("--out", help="output path (default: stdout)")
     fig.set_defaults(handler=_cmd_figure)
 
     lim = sub.add_parser("limits", help="closed-form values at T = 0 and T -> infinity")
-    lim.add_argument("--alpha", type=_param_value("alpha"), required=True)
+    lim.add_argument("--alpha", type=float, required=True)
     lim.set_defaults(handler=_cmd_limits)
 
     return parser
 
 
-def _fixed_temperature(parser, temperature, mass, required: bool):
+def _fixed_temperature(temperature, mass, required: bool):
     if temperature is not None and mass is not None:
-        parser.error("give either --temperature or --mass, not both")
+        raise ValueError("give either --temperature or --mass, not both")
     if mass is not None:
         return hawking_temperature(mass)
     if temperature is None and required:
-        parser.error("one of --temperature or --mass is required")
+        raise ValueError("one of --temperature or --mass is required")
     return temperature
 
 
@@ -163,8 +125,8 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_measure(args, parser) -> int:
-    temperature = _fixed_temperature(parser, args.temperature, args.mass, required=True)
+def _cmd_measure(args) -> int:
+    temperature = _fixed_temperature(args.temperature, args.mass, required=True)
     row = evaluate_point(args.alpha, args.omega, temperature, verify=args.verify == "on")
     lines = [
         f"{name} = {format_number(value)}"
@@ -174,23 +136,20 @@ def _cmd_measure(args, parser) -> int:
     return EXIT_OK
 
 
-def _sweep_config(args, parser) -> RunConfig:
+def _sweep_config(args) -> RunConfig:
     temperature = _fixed_temperature(
-        parser, args.temperature, args.mass, required=args.vary != "temperature"
+        args.temperature, args.mass, required=args.vary != "temperature"
     )
-    try:
-        spec = SweepSpec(
-            vary=args.vary,
-            min=args.min,
-            max=args.max,
-            steps=args.steps,
-            scale=args.scale,
-            alpha=args.alpha,
-            omega=args.omega,
-            temperature=temperature,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = SweepSpec(
+        vary=args.vary,
+        min=args.min,
+        max=args.max,
+        steps=args.steps,
+        scale=args.scale,
+        alpha=args.alpha,
+        omega=args.omega,
+        temperature=temperature,
+    )
     return RunConfig(
         sweep=spec,
         output_format=args.format,
@@ -204,17 +163,22 @@ def parse_args(argv) -> RunConfig:
     """Parse a ``sweep`` invocation into a validated RunConfig.
 
     Any invalid flag or value exits with code 2 and usage text, as on
-    the command line.
+    the command line: argparse rejects bad syntax, and the library's
+    own checks (``SweepSpec``, ``check_params``, ``hawking_temperature``)
+    reject bad values with their messages.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "sweep":
         parser.error(f"expected a sweep invocation, got {args.command!r}")
-    return _sweep_config(args, parser)
+    try:
+        return _sweep_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _cmd_sweep(args, parser) -> int:
-    config = _sweep_config(args, parser)
+def _cmd_sweep(args) -> int:
+    config = _sweep_config(args)
     rows = run_sweep(config)
     text = io.StringIO()
     if config.output_format == "json":
@@ -254,7 +218,7 @@ def figure_command(
     return "\n".join(lines) + "\n"
 
 
-def _cmd_figure(args, parser) -> int:
+def _cmd_figure(args) -> int:
     text = figure_command(args.which, args.alpha, args.omega, args.t_max, args.steps)
     _write_text(text, args.out)
     return EXIT_OK
@@ -278,7 +242,7 @@ def limits_command(alpha: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_limits(args, parser) -> int:
+def _cmd_limits(args) -> int:
     sys.stdout.write(limits_command(args.alpha))
     return EXIT_OK
 
@@ -287,7 +251,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -295,8 +259,7 @@ def main(argv=None) -> int:
         print(f"write failed: {exc}", file=sys.stderr)
         return EXIT_WRITE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ take a stack of matrices, shape ``(..., d, d)``, and act on each.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -48,7 +50,7 @@ def _as_square(a) -> np.ndarray:
 
 def _split_dims(dim: int, dims) -> tuple[int, int]:
     try:
-        d1, d2 = (int(d) for d in dims)
+        d1, d2 = (operator.index(d) for d in dims)
     except (TypeError, ValueError):
         raise ValueError(f"dims must be a pair of positive integers, got {dims!r}") from None
     if d1 < 1 or d2 < 1 or d1 * d2 != dim:

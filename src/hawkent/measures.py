@@ -57,7 +57,6 @@ __all__ = [
     "validate_density",
     "binary_entropy",
     "von_neumann_entropy",
-    "spin_flip",
     "concurrence",
     "entanglement_of_formation",
     "mutual_information",
@@ -184,12 +183,6 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
 
 
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """``(sy x sy) conj(rho) (sy x sy)`` for a two-qubit state."""
-    _require_two_qubits(rho)
-    return _SPIN_FLIP_KERNEL @ rho.matrix.conj() @ _SPIN_FLIP_KERNEL
-
-
 def _concurrences(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Concurrence from the ascending eigensystem of each two-qubit state."""
     evals = np.where(evals < _RANK_CUT * evals[..., -1:], 0.0, evals)
@@ -271,8 +264,7 @@ def one_to_rest_tangle(rho_single) -> float:
         m = np.asarray(rho_single, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    m = _as_square(m)
-    _check_density(m[None], np.linalg.eigvalsh(m)[:1])
+    m = validate_density(m, (2, 1)).matrix
     det = float(np.linalg.det(m).real)
     return min(1.0, max(0.0, 4.0 * det))
 

@@ -55,13 +55,13 @@ __all__ = [
 def check_params(alpha=None, omega=None, temperature=None) -> None:
     """Range check of the model parameters; a parameter left None is skipped.
 
-    ``alpha`` must lie strictly in (0, 1), ``omega`` must be positive
+    ``alpha`` must lie strictly inside (0, 1), ``omega`` must be positive
     and finite, ``temperature`` non-negative and finite.  Raises
     ValueError naming the first parameter out of range.  NaN fails
     every chained comparison, so no separate finiteness test is needed.
     """
     if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
     if omega is not None and not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if temperature is not None and not 0.0 <= temperature < math.inf:

@@ -70,8 +70,9 @@ class TestMeasureCommand:
         assert exc.value.code == 2
 
     def test_overflowing_mass_exits_2_naming_the_mass(self, capsys):
-        code = main(["measure", "--alpha", "0.5", "--omega", "1", "--mass", "1e-320"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--alpha", "0.5", "--omega", "1", "--mass", "1e-320"])
+        assert exc.value.code == 2
         assert "error: mass 1e-320 is too small" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -107,12 +108,46 @@ class TestParserValidation:
             ["limits", "--alpha", "1.0"],
             ["bogus-command"],
             [],
+            # values that argparse used to reject and the library now does
+            ["measure", "--alpha", "0.5", "--omega", "1", "--mass", "0"],
+            ["measure", "--alpha", "0.5", "--omega", "1", "--mass", "nan"],
+            ["measure", "--alpha", "0.5", "--omega", "1", "--mass", "inf"],
+            ["measure", "--alpha", "0.5", "--omega", "1e999", "--temperature", "1"],
+            ["sweep", "--vary", "temperature", "--min", "nan", "--max", "10", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1"],
+            ["sweep", "--vary", "temperature", "--min", "0.01", "--max", "inf", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1"],
+            ["figure", "1", "--max", "-1"],
+            ["figure", "1", "--max", "inf"],
+            ["figure", "1", "--max", "nan"],
+            ["figure", "1", "--steps", "1"],
+            ["limits", "--alpha", "nan"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SWEEP_ARGS + ["--steps", "1"],
+            SWEEP_ARGS + ["--max", "inf"],
+            SWEEP_ARGS + ["--alpha", "1.5"],
+            SWEEP_ARGS + ["--mass", "1"],
+            ["figure", "1", "--max", "0.005"],
+            ["figure", "2", "--alpha", "nan"],
+            ["figure", "3", "--steps", "1"],
+        ],
+    )
+    def test_invalid_value_writes_no_out_file(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(target)])
+        assert exc.value.code == 2
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestParseArgs:
@@ -305,9 +340,10 @@ class TestFigureCommand:
             figure_command(1, t_max=0.005)
 
     def test_degenerate_grid_via_cli_exits_2(self, capsys):
-        code = main(["figure", "1", "--max", "0.005"])
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "1", "--max", "0.005"])
         captured = capsys.readouterr()
-        assert code == 2
+        assert exc.value.code == 2
         assert "error:" in captured.err
 
 

@@ -83,6 +83,11 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="bipartition"):
             partial_trace(np.eye(8), (3, 2))
 
+    @pytest.mark.parametrize("dims", [("2", "2"), (2.0, 2.0)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match="pair of positive integers"):
+            partial_trace(np.eye(4), dims)
+
     def test_rejects_bad_keep(self):
         with pytest.raises(ValueError, match="keep"):
             partial_trace(np.eye(4), (2, 2), keep="third")

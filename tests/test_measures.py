@@ -18,7 +18,6 @@ from hawkent.measures import (
     min_pt_eigenvalue,
     mutual_information,
     one_to_rest_tangle,
-    spin_flip,
     validate_density,
 )
 
@@ -99,6 +98,17 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="bipartition"):
             validate_density(np.eye(4) / 4.0, (3, 2))
 
+    @pytest.mark.parametrize("dims", [(2.9, 2.2), (2.0, 2.0), ("2", "2"), (2,), (2, 2, 1), None])
+    def test_rejects_dims_that_are_not_integer_pairs(self, dims):
+        # factors go through operator.index: no truncation, no parsing
+        with pytest.raises(ValueError, match="pair of positive integers"):
+            validate_density(np.eye(4) / 4.0, dims)
+
+    def test_numpy_integer_dims_become_ints(self):
+        rho = validate_density(np.eye(4) / 4.0, (np.int64(2), np.int32(2)))
+        assert rho.dims == (2, 2)
+        assert all(type(d) is int for d in rho.dims)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             validate_density(np.ones((2, 3)), (2, 1))
@@ -146,43 +156,6 @@ class TestVonNeumannEntropy:
 
         marginal = _state(np.diag([0.365529289315002, 0.634470710684998]), dims=(2, 1))
         assert abs(von_neumann_entropy(marginal) - 0.947177406096995) <= 1e-12
-
-
-class TestSpinFlip:
-    def test_bell_state_fixed_point(self):
-        assert np.abs(spin_flip(_state(RHO_BELL)) - RHO_BELL).max() <= 1e-14
-
-    def test_ground_state_maps_to_top(self):
-        rho = np.zeros((4, 4))
-        rho[0, 0] = 1.0
-        expected = np.zeros((4, 4))
-        expected[3, 3] = 1.0
-        assert np.abs(spin_flip(_state(rho)) - expected).max() <= 1e-14
-
-    @pytest.mark.parametrize("alpha,omega,temperature", [(0.6, 1.3, 0.7), (0.35, 2.0, 4.5)])
-    def test_thermal_pair_structure(self, alpha, omega, temperature):
-        # flipping the A-II reduction swaps its populations across the
-        # anti-diagonal and keeps the |01><10| coherence in place
-        x = omega / temperature
-        fm2 = 1.0 / (1.0 + math.exp(-x))
-        fp2 = 1.0 - fm2
-        a2 = alpha * alpha
-        coh = alpha * math.sqrt(fp2) * math.sqrt(1.0 - a2)
-        rho = np.zeros((4, 4))
-        rho[0, 0] = a2 * fm2
-        rho[1, 1] = a2 * fp2
-        rho[2, 2] = 1.0 - a2
-        rho[1, 2] = rho[2, 1] = coh
-        expected = np.zeros((4, 4))
-        expected[3, 3] = a2 * fm2
-        expected[2, 2] = a2 * fp2
-        expected[1, 1] = 1.0 - a2
-        expected[1, 2] = expected[2, 1] = coh
-        assert np.abs(spin_flip(_state(rho)) - expected).max() <= 1e-12
-
-    def test_rejects_wrong_dims(self):
-        with pytest.raises(ValueError, match="qubit pairs"):
-            spin_flip(validate_density(np.eye(4) / 4.0, (4, 1)))
 
 
 class TestConcurrence:
@@ -289,6 +262,11 @@ class TestOneToRestTangle:
 
 
 class TestMeasureSet:
+    @pytest.mark.parametrize("measure", [measure_set, concurrence])
+    def test_rejects_non_qubit_pair(self, measure):
+        with pytest.raises(ValueError, match="qubit pairs"):
+            measure(validate_density(np.eye(4) / 4.0, (4, 1)))
+
     def test_matches_individual_measures(self):
         for rho in (_state(RHO_AI), *_random_mixed_states(150), *_random_pure_states(150)):
             ms = measure_set(rho)
