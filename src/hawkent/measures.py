@@ -25,16 +25,17 @@ eigenvalues of ``rho`` below ``16 eps`` times its largest are set to
 zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
-:func:`measure_stack` is the one spectral route.  numpy's linalg
-routines broadcast over leading axes, so a stack of states costs a few
-LAPACK calls, not a few per state; the single-state measures run the
-same helpers.
+:func:`measure_stack` runs one kernel on a stack of states (numpy's
+linalg broadcasts, so a stack costs a few LAPACK calls).  A
+:class:`DensityMatrix` takes its eigensystem and runs the density gate
+once, and every single-state measure reads that eigensystem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,10 +78,10 @@ _SPIN_FLIP_KERNEL = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix with an explicit bipartition.
+    """A density matrix with an explicit bipartition.
 
-    Build instances through :func:`validate_density`; the constructor
-    performs no checks of its own.
+    Build instances through :func:`validate_density`; one built
+    directly is gated when a measure first reads it.
     """
 
     matrix: np.ndarray
@@ -89,6 +90,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ``(evals, vecs)`` of the matrix, taken once and gated."""
+        m = _as_square(self.matrix)
+        _split_dims(m.shape[0], self.dims)
+        evals, vecs = np.linalg.eigh(m)
+        _check_density(m[None], evals[:1])
+        return evals, vecs
 
 
 @dataclass(frozen=True)
@@ -127,17 +137,19 @@ def validate_density(matrix, dims) -> DensityMatrix:
 
     Requirements: square and finite, ``dims[0] * dims[1]`` matches the
     matrix dimension, Hermitian within 1e-12 entrywise, unit trace
-    within 1e-12, and no eigenvalue below -1e-10.
+    within 1e-12, and no eigenvalue below -1e-10.  The state holds a
+    read-only copy of ``matrix`` and the eigensystem the gate took.
 
     Raises
     ------
     ValueError
         On any violated requirement, naming the offending quantity.
     """
-    m = _as_square(matrix)
-    d1, d2 = _split_dims(m.shape[0], dims)
-    _check_density(m[None], np.linalg.eigvalsh(m)[:1])
-    return DensityMatrix(matrix=m, dims=(d1, d2))
+    m = _as_square(matrix).copy()
+    m.flags.writeable = False
+    rho = DensityMatrix(matrix=m, dims=_split_dims(m.shape[0], dims))
+    rho._spectrum  # runs the gate
+    return rho
 
 
 def binary_entropy(p: float) -> float:
@@ -175,12 +187,7 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in bits; 0 for pure states."""
-    return float(_entropies(np.linalg.eigvalsh(rho.matrix)))
-
-
-def _require_two_qubits(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2):
-        raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
+    return float(_entropies(rho._spectrum[0]))
 
 
 def _concurrences(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -198,20 +205,13 @@ def _eofs(c) -> np.ndarray:
     return -(p * np.log2(p) + _xlogx(1.0 - p))
 
 
-def _mutual_informations(m: np.ndarray, joint: np.ndarray, dims) -> np.ndarray:
-    """``S(rho_1) + S(rho_2) - S(rho_12)``; ``joint`` is ``S(rho_12)``."""
-    first = partial_trace(m, dims, keep="first")
-    second = partial_trace(m, dims, keep="second")
-    if first.shape == second.shape:
-        s1, s2 = _entropies(np.linalg.eigvalsh(np.array((first, second))))
-    else:
-        s1, s2 = (_entropies(np.linalg.eigvalsh(x)) for x in (first, second))
-    return s1 + s2 - joint
-
-
-def _min_pt_eigenvalues(m: np.ndarray, dims) -> np.ndarray:
-    # the partial-transpose spectrum is the same whichever factor is transposed
-    return np.linalg.eigvalsh(partial_transpose(m, dims, "first"))[..., 0]
+def _measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states from their ascending eigensystems."""
+    c = _concurrences(evals, vecs)
+    marginals = np.array([partial_trace(m, (2, 2), keep) for keep in ("first", "second")])
+    s1, s2 = _entropies(np.linalg.eigvalsh(marginals))
+    pt = np.linalg.eigvalsh(partial_transpose(m, (2, 2), "first"))[..., 0]
+    return np.array((c, _eofs(c), s1 + s2 - _entropies(evals), pt)).T
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -224,49 +224,44 @@ def concurrence(rho: DensityMatrix) -> float:
     each enters the roots as ``sqrt(e)``, so rounding dust of ``eps``
     would shift C by about ``sqrt(eps)``.
     """
-    _require_two_qubits(rho)
-    return float(_concurrences(*np.linalg.eigh(rho.matrix)))
+    return measure_set(rho).concurrence
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Binary entropy of (1 + sqrt(1 - C^2)) / 2; monotone in C."""
-    return float(_eofs(concurrence(rho)))
+    return measure_set(rho).eof
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """``S(rho_1) + S(rho_2) - S(rho_12)`` in bits.
+    """``S(rho_1) + S(rho_2) - S(rho_12)`` of a two-qubit state, in bits.
 
-    Non-negative; at most ``2 log2 d`` for equal factor dimensions d.
+    Non-negative and at most 2 bits.
     """
-    joint = _entropies(np.linalg.eigh(rho.matrix)[0])
-    return float(_mutual_informations(rho.matrix, joint, rho.dims))
+    return measure_set(rho).mutual_information
 
 
 def min_pt_eigenvalue(rho: DensityMatrix) -> float:
-    """Smallest eigenvalue after transposing one factor.
+    """Smallest eigenvalue of a two-qubit state after transposing one factor.
 
     The partial-transpose spectrum is the same whichever factor is
     transposed.  For qubit pairs a negative value is equivalent to
     entanglement.
     """
-    return float(_min_pt_eigenvalues(rho.matrix, rho.dims))
+    return measure_set(rho).min_pt_eigenvalue
 
 
 def one_to_rest_tangle(rho_single) -> float:
     """``4 det(rho)`` of a single-qubit reduced state, clamped to [0, 1].
 
-    For a pure global state this equals the tangle between the qubit
-    and everything else.
+    ``det(rho)`` is the product of its two eigenvalues.  For a pure global
+    state this equals the tangle between the qubit and everything else.
     """
-    if isinstance(rho_single, DensityMatrix):
-        m = rho_single.matrix
-    else:
-        m = np.asarray(rho_single, dtype=complex)
+    m = rho_single.matrix if isinstance(rho_single, DensityMatrix) else rho_single
+    m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    m = validate_density(m, (2, 1)).matrix
-    det = float(np.linalg.det(m).real)
-    return min(1.0, max(0.0, 4.0 * det))
+    low, high = validate_density(m, (2, 1))._spectrum[0].tolist()
+    return min(1.0, max(0.0, 4.0 * low * high))
 
 
 def measure_stack(states) -> np.ndarray:
@@ -290,18 +285,16 @@ def measure_stack(states) -> np.ndarray:
     m = _as_square_stack(m)
     evals, vecs = np.linalg.eigh(m)
     _check_density(m, evals[:, 0])
-    joint = _entropies(evals)
-    c = _concurrences(evals, vecs)
-    return np.array(
-        (c, _eofs(c), _mutual_informations(m, joint, (2, 2)), _min_pt_eigenvalues(m, (2, 2)))
-    ).T
+    return _measures(m, evals, vecs)
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """All four pairwise measures of one two-qubit state.
 
-    Runs :func:`measure_stack` on a stack of one, so the state passes
-    the density gate again and its spectrum is taken once.
+    Reads the eigensystem taken when the state was gated; the four
+    single-state two-qubit measures are fields of this result.
     """
-    _require_two_qubits(rho)
-    return MeasureSet(*measure_stack(rho.matrix[None])[0].tolist())
+    if rho.dims != (2, 2):
+        raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
+    evals, vecs = rho._spectrum
+    return MeasureSet(*_measures(rho.matrix[None], evals[None], vecs[None])[0].tolist())

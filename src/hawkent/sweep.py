@@ -99,6 +99,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in _VARIABLES:
             raise ValueError(f"vary must be one of {_VARIABLES}, got {self.vary!r}")
+        # the grid is ascending and each allowed range an interval, so its ends decide
+        check_params(**{self.vary: self.min})
+        check_params(**{self.vary: self.max})
         if not self.min < self.max:
             raise ValueError(f"need min < max, got [{self.min!r}, {self.max!r}]")
         try:
@@ -113,9 +116,6 @@ class SweepSpec:
             raise ValueError(f"log scale needs min > 0, got {self.min!r}")
         if getattr(self, self.vary) is not None:
             raise ValueError(f"{self.vary} is the varied parameter and cannot also be fixed")
-        # the grid is ascending and each allowed range an interval, so its ends decide
-        check_params(**{self.vary: self.min})
-        check_params(**{self.vary: self.max})
         for name in _VARIABLES:
             if name == self.vary:
                 continue

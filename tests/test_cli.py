@@ -122,12 +122,30 @@ class TestParserValidation:
             ["figure", "1", "--max", "nan"],
             ["figure", "1", "--steps", "1"],
             ["limits", "--alpha", "nan"],
+            ["sweep", "--vary", "temperature", "--min", "0.01", "--max", "nan", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--vary", "temperature", "--min", "nan", "--max", "10", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1"],
+            ["sweep", "--vary", "temperature", "--min", "0.01", "--max", "nan", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1"],
+            ["figure", "1", "--max", "nan"],
+        ],
+    )
+    def test_nan_grid_end_is_named(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "temperature must be non-negative and finite, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

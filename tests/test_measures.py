@@ -118,6 +118,17 @@ class TestValidateDensity:
         with pytest.raises(ValueError, match="finite"):
             validate_density(bad, (2, 1))
 
+    def test_validated_state_is_a_read_only_copy(self):
+        m = RHO_AI.astype(complex)
+        rho = _state(m)
+        want = measure_set(rho)
+        m[0, 0] = 5.0
+        assert np.array_equal(rho.matrix, RHO_AI)
+        assert measure_set(rho) == want
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+        assert m.flags.writeable
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):
@@ -261,8 +272,23 @@ class TestOneToRestTangle:
             one_to_rest_tangle(np.eye(2))
 
 
+GATE_FAILURES = pytest.mark.parametrize(
+    "bad",
+    [
+        np.diag([0.25, 0.25, 0.25, 0.25]) + np.eye(4, k=1) * 0.1,
+        np.eye(4) * 0.225,
+        np.diag([0.6, 0.5, -0.1, 0.0]),
+        np.diag([0.25, 0.25, 0.25, np.nan]),
+    ],
+    ids=["not_hermitian", "trace", "negative_eigenvalue", "non_finite"],
+)
+
+
 class TestMeasureSet:
-    @pytest.mark.parametrize("measure", [measure_set, concurrence])
+    @pytest.mark.parametrize(
+        "measure",
+        [measure_set, concurrence, entanglement_of_formation, mutual_information, min_pt_eigenvalue],
+    )
     def test_rejects_non_qubit_pair(self, measure):
         with pytest.raises(ValueError, match="qubit pairs"):
             measure(validate_density(np.eye(4) / 4.0, (4, 1)))
@@ -283,6 +309,35 @@ class TestMeasureSet:
         assert ms.concurrence <= 1e-12
         assert abs(ms.min_pt_eigenvalue) <= 1e-12
 
+    @GATE_FAILURES
+    def test_unvalidated_state_is_gated_on_first_use(self, bad):
+        with pytest.raises(ValueError) as want:
+            validate_density(bad, (2, 2))
+        with pytest.raises(ValueError) as got:
+            measure_set(DensityMatrix(bad, (2, 2)))
+        assert str(got.value) == str(want.value)
+
+    def test_unvalidated_state_must_factor_its_dims(self):
+        with pytest.raises(ValueError, match="does not factor matrix dimension 3"):
+            measure_set(DensityMatrix(np.eye(3) / 3.0, (2, 2)))
+
+    def test_one_spectrum_per_state(self, monkeypatch):
+        from hawkent.measures import von_neumann_entropy
+
+        calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rho = validate_density(RHO_AI, (2, 2))
+        von_neumann_entropy(rho)
+        measure_set(rho)
+        # one eigh for the gate, the joint entropy and the concurrence factor;
+        # one eigvalsh each for the marginals and the partial transpose
+        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
+
 
 class TestMeasureStack:
     def test_matches_measure_set(self):
@@ -294,15 +349,7 @@ class TestMeasureStack:
             want = (ms.concurrence, ms.eof, ms.mutual_information, ms.min_pt_eigenvalue)
             assert np.abs(values - want).max() <= 1e-15
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            np.diag([0.25, 0.25, 0.25, 0.25]) + np.eye(4, k=1) * 0.1,
-            np.eye(4) * 0.225,
-            np.diag([0.6, 0.5, -0.1, 0.0]),
-        ],
-        ids=["not_hermitian", "trace", "negative_eigenvalue"],
-    )
+    @GATE_FAILURES
     def test_gate_names_first_failing_state(self, bad):
         with pytest.raises(ValueError) as want:
             validate_density(bad, (2, 2))
@@ -316,6 +363,21 @@ class TestMeasureStack:
         stack = np.array([RHO_AI, np.diag([0.6, 0.5, -0.1, 0.0]), np.eye(4) * 0.225])
         with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -1.000e-01"):
             measure_stack(stack)
+
+    def test_gate_boundary_matches_validate_density(self):
+        def diagonal(lowest):
+            return np.diag([0.6 - lowest, 0.4, 0.0, lowest])
+
+        inside = diagonal(-1e-10 * (1.0 - 1e-6))
+        validate_density(inside, (2, 2))
+        measure_stack(inside[None])
+        outside = diagonal(-1e-10 * (1.0 + 1e-6))
+        with pytest.raises(ValueError) as want:
+            validate_density(outside, (2, 2))
+        with pytest.raises(ValueError) as got:
+            measure_stack(outside[None])
+        assert str(got.value) == str(want.value)
+        assert str(want.value) == "matrix is not positive semidefinite: eigenvalue -1.000e-10"
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="stack"):

@@ -94,6 +94,9 @@ class TestSweepSpecValidation:
             (dict(vary="alpha", min=0.1, max=0.9, steps=3, omega=1.0, temperature=-2.0), "temperature"),
             # an integral float is still not an integer
             (dict(vary="temperature", min=0.1, max=1.0, steps=3.0, alpha=0.5, omega=1.0), "steps"),
+            # a NaN end is named as such, not as an ordering error
+            (dict(vary="temperature", min=math.nan, max=10.0, steps=3, alpha=0.5, omega=1.0), "finite, got nan"),
+            (dict(vary="temperature", min=0.01, max=math.nan, steps=3, alpha=0.5, omega=1.0), "finite, got nan"),
         ],
     )
     def test_rejects_bad_spec(self, kwargs, match):
