@@ -44,6 +44,7 @@ EXIT_VERIFY = 3
 EXIT_WRITE = 4
 
 _DEFAULT_FIGURE_ALPHA = 1.0 / math.sqrt(2.0)
+_FIGURE_T_MIN = 0.01
 
 _FIGURE_COLUMNS = {
     1: ("C_A_I", "C_A_II", "C_I_II"),
@@ -199,15 +200,19 @@ def figure_command(
     """CSV table of one measure family over T in [0.01, t_max], log grid."""
     if which not in _FIGURE_COLUMNS:
         raise ValueError(f"figure number must be 1, 2 or 3, got {which!r}")
-    spec = SweepSpec(
-        vary="temperature",
-        min=0.01,
-        max=t_max,
-        steps=steps,
-        scale="log",
-        alpha=alpha,
-        omega=omega,
-    )
+    try:
+        spec = SweepSpec(
+            vary="temperature",
+            min=_FIGURE_T_MIN,
+            max=t_max,
+            steps=steps,
+            scale="log",
+            alpha=alpha,
+            omega=omega,
+        )
+    except ValueError as exc:
+        # the sweep's min is the fixed grid start; say so, since figure has no --min
+        raise ValueError(f"figure {which} runs T from {_FIGURE_T_MIN:g} to --max: {exc}") from None
     rows = run_sweep(RunConfig(sweep=spec))
     names = _FIGURE_COLUMNS[which]
     indices = [CSV_COLUMNS.index(name) for name in names]

@@ -1,11 +1,14 @@
-"""Dense complex linear algebra for few-qubit density matrices.
+"""Dense linear algebra for few-qubit density matrices.
 
-Everything here operates on plain numpy arrays.  The matrices in this
-package never exceed 8x8, so the routines favour clarity and strict
-input checking over speed.  Bipartite structure is passed explicitly as
-``dims = (d1, d2)`` with the first factor varying slowest (row index
-``i1 * d2 + i2``).  ``partial_trace`` and ``partial_transpose`` also
-take a stack of matrices, shape ``(..., d, d)``, and act on each.
+Everything here operates on plain numpy arrays and keeps their
+arithmetic: bool, integer and real input is computed in ``float64``,
+anything else in ``complex128``, so a real symmetric matrix reaches the
+real LAPACK routines.  The matrices in this package never exceed 8x8,
+so the routines favour clarity and strict input checking over speed.
+Bipartite structure is passed explicitly as ``dims = (d1, d2)`` with
+the first factor varying slowest (row index ``i1 * d2 + i2``).
+``partial_trace`` and ``partial_transpose`` also take a stack of
+matrices, shape ``(..., d, d)``, and act on each.
 """
 
 from __future__ import annotations
@@ -31,8 +34,13 @@ PSD_ATOL = 1e-10
 
 
 def _as_square_stack(a) -> np.ndarray:
-    """Coerce to finite complex matrices, square in the last two axes, or raise ValueError."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce to finite matrices, square in the last two axes, or raise ValueError.
+
+    Bool, integer and real input becomes ``float64``, anything else
+    ``complex128``.
+    """
+    m = np.asarray(a)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -41,7 +49,7 @@ def _as_square_stack(a) -> np.ndarray:
 
 
 def _as_square(a) -> np.ndarray:
-    """Coerce to a finite square complex matrix or raise ValueError."""
+    """Coerce to one finite square matrix, dtype as above, or raise ValueError."""
     m = _as_square_stack(a)
     if m.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

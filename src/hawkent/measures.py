@@ -26,9 +26,13 @@ zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
 :func:`measure_stack` runs one kernel on a stack of states (numpy's
-linalg broadcasts, so a stack costs a few LAPACK calls).  A
-:class:`DensityMatrix` takes its eigensystem and runs the density gate
-once, and every single-state measure reads that eigensystem.
+linalg broadcasts, so a stack costs three LAPACK calls: ``eigh``, the
+concurrence ``svd`` and the partial-transpose ``eigvalsh``).  The
+one-qubit marginal spectra are closed forms of the 2x2 entries.  Real
+input stays real, so the real symmetric pair states of the model reach
+the real LAPACK routines.  A :class:`DensityMatrix` takes its
+eigensystem and runs the density gate once, and every single-state
+measure reads that eigensystem.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .linalg import (
     _not_hermitian,
     _not_psd,
     _split_dims,
-    partial_trace,
     partial_transpose,
 )
 
@@ -138,7 +141,8 @@ def validate_density(matrix, dims) -> DensityMatrix:
     Requirements: square and finite, ``dims[0] * dims[1]`` matches the
     matrix dimension, Hermitian within 1e-12 entrywise, unit trace
     within 1e-12, and no eigenvalue below -1e-10.  The state holds a
-    read-only copy of ``matrix`` and the eigensystem the gate took.
+    read-only copy of ``matrix``, real (``float64``) for real input and
+    ``complex128`` otherwise, and the eigensystem the gate took.
 
     Raises
     ------
@@ -205,11 +209,29 @@ def _eofs(c) -> np.ndarray:
     return -(p * np.log2(p) + _xlogx(1.0 - p))
 
 
+# Flat ``row * 4 + col`` entries of a two-qubit state summed into ``a``, ``c``
+# and ``b`` of its marginal ``[[a, b], [b*, c]]``: first qubit kept, then second.
+_MARGINAL_ENTRIES = np.array([[[0, 5], [10, 15], [2, 7]], [[0, 10], [5, 15], [1, 11]]])
+
+
+def _marginal_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending spectra ``(K, 2, 2)`` of both one-qubit marginals of ``(K, 4, 4)`` states.
+
+    The larger eigenvalue of ``[[a, b], [b*, c]]`` is
+    ``(a + c) / 2 + hypot((a - c) / 2, |b|)``; the smaller is taken as
+    ``(a c - |b|^2)`` over it rather than as the difference, which
+    cancels when the marginal is near pure.
+    """
+    a, c, b = m.reshape(-1, 16)[:, _MARGINAL_ENTRIES].sum(axis=-1).transpose(2, 0, 1)
+    a, c, b = a.real, c.real, np.abs(b)
+    high = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+    return np.stack(((a * c - b * b) / high, high), axis=-1)
+
+
 def _measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states from their ascending eigensystems."""
     c = _concurrences(evals, vecs)
-    marginals = np.array([partial_trace(m, (2, 2), keep) for keep in ("first", "second")])
-    s1, s2 = _entropies(np.linalg.eigvalsh(marginals))
+    s1, s2 = _entropies(_marginal_spectra(m)).T
     pt = np.linalg.eigvalsh(partial_transpose(m, (2, 2), "first"))[..., 0]
     return np.array((c, _eofs(c), s1 + s2 - _entropies(evals), pt)).T
 
@@ -257,7 +279,7 @@ def one_to_rest_tangle(rho_single) -> float:
     state this equals the tangle between the qubit and everything else.
     """
     m = rho_single.matrix if isinstance(rho_single, DensityMatrix) else rho_single
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     low, high = validate_density(m, (2, 1))._spectrum[0].tolist()
@@ -275,11 +297,13 @@ def measure_stack(states) -> np.ndarray:
     gated.
 
     One ``eigh`` per state feeds the positivity gate, the joint entropy
-    and the concurrence factor; the concurrence SVD, the marginal
-    spectra and the partial-transpose spectra are one call each on the
-    whole stack.
+    and the concurrence factor; the concurrence SVD and the
+    partial-transpose spectra are one call each on the whole stack, and
+    the marginal spectra are closed forms with no LAPACK call.  A real
+    stack is computed in ``float64`` throughout, anything else in
+    ``complex128``.
     """
-    m = np.asarray(states, dtype=complex)
+    m = np.asarray(states)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"expected a (K, 4, 4) stack of two-qubit states, got shape {m.shape}")
     m = _as_square_stack(m)

@@ -363,6 +363,10 @@ class TestFigureCommand:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert "error:" in captured.err
+        # figure has no --min: the message names --max and the fixed grid start
+        assert "--max" in captured.err
+        assert "T from 0.01" in captured.err
+        assert captured.out == ""
 
 
 class TestLimitsCommand:

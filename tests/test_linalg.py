@@ -214,3 +214,21 @@ def test_partial_maps_act_on_stacks_matrix_by_matrix():
         assert transposed.shape == stack.shape
         for index in np.ndindex(3, 2):
             assert np.array_equal(transposed[index], partial_transpose(stack[index], (2, 2), which))
+
+
+class TestArithmeticIsKept:
+    @pytest.mark.parametrize(
+        "rho,dtype",
+        [
+            (RHO_BELL, np.float64),
+            (np.eye(4, dtype=int), np.float64),
+            (np.eye(4, dtype=bool), np.float64),
+            (np.eye(4, dtype=np.float32), np.float64),
+            (RHO_AI, np.complex128),
+        ],
+        ids=["float64", "int", "bool", "float32", "complex"],
+    )
+    def test_stack_helpers_keep_arithmetic(self, rho, dtype):
+        assert partial_trace(rho, (2, 2)).dtype == dtype
+        assert partial_transpose(rho, (2, 2)).dtype == dtype
+        assert partial_transpose(np.array([rho, rho]), (2, 2)).dtype == dtype

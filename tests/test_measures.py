@@ -283,6 +283,21 @@ GATE_FAILURES = pytest.mark.parametrize(
     ids=["not_hermitian", "trace", "negative_eigenvalue", "non_finite"],
 )
 
+# Joint eigenvalues pass the -1e-10 gate; the first marginal diag(1 + 1.8e-10, -1.8e-10) does not.
+MARGINAL_BELOW_GATE = np.diag([1.0 + 1.8e-10, 0.0, -0.9e-10, -0.9e-10])
+
+
+def _record_lapack_dtypes(monkeypatch):
+    """Wrap numpy's eigh, eigvalsh and svd to record the dtypes they are handed."""
+    dtypes = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            dtypes.setdefault(_name, set()).add(np.asarray(a).dtype)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return dtypes
+
 
 class TestMeasureSet:
     @pytest.mark.parametrize(
@@ -335,8 +350,9 @@ class TestMeasureSet:
         von_neumann_entropy(rho)
         measure_set(rho)
         # one eigh for the gate, the joint entropy and the concurrence factor;
-        # one eigvalsh each for the marginals and the partial transpose
-        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 1}
+        # one eigvalsh for the partial transpose; the 2x2 marginal spectra
+        # are closed forms
+        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
 
 
 class TestMeasureStack:
@@ -378,6 +394,35 @@ class TestMeasureStack:
             measure_stack(outside[None])
         assert str(got.value) == str(want.value)
         assert str(want.value) == "matrix is not positive semidefinite: eigenvalue -1.000e-10"
+
+    def test_marginal_below_gate_raises(self):
+        # the joint spectrum passes the gate; the first marginal has eigenvalue -1.8e-10
+        with pytest.raises(ValueError) as got_stack:
+            measure_stack(MARGINAL_BELOW_GATE[None])
+        with pytest.raises(ValueError) as got_set:
+            measure_set(validate_density(MARGINAL_BELOW_GATE, (2, 2)))
+        want = "matrix is not positive semidefinite: eigenvalue -1.800e-10"
+        assert str(got_stack.value) == str(got_set.value) == want
+
+    def test_complex_state_is_computed_in_complex(self, monkeypatch):
+        dtypes = _record_lapack_dtypes(monkeypatch)
+        rho = next(_random_mixed_states(1))
+        assert rho.matrix.dtype == np.complex128
+        measure_set(rho)
+        measure_stack(rho.matrix[None])
+        assert dtypes == dict.fromkeys(("eigh", "eigvalsh", "svd"), {np.dtype(np.complex128)})
+
+    def test_real_state_is_computed_in_real(self, monkeypatch):
+        from hawkent.sweep import RunConfig, SweepSpec, run_sweep
+
+        dtypes = _record_lapack_dtypes(monkeypatch)
+        rho = validate_density(RHO_AI, (2, 2))
+        assert rho.matrix.dtype == np.float64
+        measure_set(rho)
+        # a verified sweep's pair states are real symmetric
+        spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, alpha=0.6, omega=1.0)
+        run_sweep(RunConfig(sweep=spec))
+        assert dtypes == dict.fromkeys(("eigh", "eigvalsh", "svd"), {np.dtype(np.float64)})
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="stack"):
@@ -422,3 +467,25 @@ class TestRandomStateProperties:
             assert abs(mutual_information(rho) - 2.0 * s1) <= 1e-10
             # for a pure pair state the EoF is the marginal entropy
             assert abs(entanglement_of_formation(rho) - s1) <= 1e-9
+
+
+class TestMarginalSpectra:
+    @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_eigvalsh_of_partial_trace(self, complex_entries, rank):
+        from hawkent.linalg import partial_trace
+        from hawkent.measures import _marginal_spectra
+
+        rng = np.random.default_rng(1000 * rank + complex_entries)
+        g = rng.normal(size=(500, 4, rank))
+        if complex_entries:
+            g = g + 1.0j * rng.normal(size=(500, 4, rank))
+        m = g @ g.conj().swapaxes(-1, -2)
+        m /= m.trace(axis1=-2, axis2=-1)[:, None, None]
+        want = np.stack(
+            [np.linalg.eigvalsh(partial_trace(m, (2, 2), keep)) for keep in ("first", "second")],
+            axis=1,
+        )
+        got = _marginal_spectra(m)
+        assert got.shape == (500, 2, 2)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
