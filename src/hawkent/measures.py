@@ -25,12 +25,17 @@ eigenvalues of ``rho`` below ``16 eps`` times its largest are set to
 zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
-:func:`measure_stack` runs one kernel on a stack of states (numpy's
-linalg broadcasts, so a stack costs three LAPACK calls: ``eigh``, the
-concurrence ``svd`` and the partial-transpose ``eigvalsh``).  The
-one-qubit marginal spectra are closed forms of the 2x2 entries.  Real
-input stays real, so the real symmetric pair states of the model reach
-the real LAPACK routines.  A :class:`DensityMatrix` takes its
+One kernel computes the four measures of a stack of states from the
+states, any factor ``L`` of each and each joint spectrum (numpy's
+linalg broadcasts, so a stack costs two LAPACK calls: the concurrence
+``svd`` and the partial-transpose ``eigvalsh``).  :func:`measure_stack`
+feeds it ``V sqrt(e)`` and ``e`` from one ``eigh`` of the stack, three
+LAPACK calls in all.  A verified sweep feeds it the 4x2 factor that
+the amplitudes of its pure three-mode state already are, and the
+closed-form spectrum of the 2x2 Gram matrix ``L^dagger L``, so it makes
+two.  The one-qubit marginal spectra are closed forms of the 2x2
+entries.  Real input stays real, so the real pair states of the model
+reach the real LAPACK routines.  A :class:`DensityMatrix` takes its
 eigensystem and runs the density gate once, and every single-state
 measure reads that eigensystem.
 """
@@ -194,13 +199,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(_entropies(rho._spectrum[0]))
 
 
-def _concurrences(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Concurrence from the ascending eigensystem of each two-qubit state."""
+def _eigen_factor(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The factor ``V diag(sqrt(e))`` of each state, from its ascending eigensystem.
+
+    Eigenvalues below ``_RANK_CUT`` times the largest, negative dust
+    included, become exact zeros first.
+    """
     evals = np.where(evals < _RANK_CUT * evals[..., -1:], 0.0, evals)
-    factor = vecs * np.sqrt(evals)[..., None, :]
-    flipped = factor.swapaxes(-1, -2) @ _SPIN_FLIP_KERNEL @ factor
-    roots = np.linalg.svd(flipped, compute_uv=False).T
-    return np.maximum(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    return vecs * np.sqrt(evals)[..., None, :]
 
 
 def _eofs(c) -> np.ndarray:
@@ -209,31 +215,64 @@ def _eofs(c) -> np.ndarray:
     return -(p * np.log2(p) + _xlogx(1.0 - p))
 
 
+def _two_level_spectra(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending spectra ``(..., 2)`` of the Hermitian ``[[a, b], [b*, c]]``.
+
+    The larger eigenvalue is ``(a + c) / 2 + hypot((a - c) / 2, |b|)``;
+    the smaller is taken as ``(a c - |b|^2)`` over it rather than as the
+    difference, which cancels when the matrix is near rank one.
+    """
+    a, c, b = a.real, c.real, np.abs(b)
+    high = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+    return np.stack(((a * c - b * b) / high, high), axis=-1)
+
+
 # Flat ``row * 4 + col`` entries of a two-qubit state summed into ``a``, ``c``
 # and ``b`` of its marginal ``[[a, b], [b*, c]]``: first qubit kept, then second.
 _MARGINAL_ENTRIES = np.array([[[0, 5], [10, 15], [2, 7]], [[0, 10], [5, 15], [1, 11]]])
 
 
 def _marginal_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending spectra ``(K, 2, 2)`` of both one-qubit marginals of ``(K, 4, 4)`` states.
+    """Ascending spectra ``(K, 2, 2)`` of both one-qubit marginals of ``(K, 4, 4)`` states."""
+    entries = m.reshape(-1, 16)[:, _MARGINAL_ENTRIES].sum(axis=-1)
+    return _two_level_spectra(*entries.transpose(2, 0, 1))
 
-    The larger eigenvalue of ``[[a, b], [b*, c]]`` is
-    ``(a + c) / 2 + hypot((a - c) / 2, |b|)``; the smaller is taken as
-    ``(a c - |b|^2)`` over it rather than as the difference, which
-    cancels when the marginal is near pure.
+
+def _measures(m: np.ndarray, factor: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states.
+
+    ``factor`` is any ``(K, 4, r)`` stack with ``m = L L^dagger``, and
+    ``joint`` the ascending nonzero spectrum of each state (zeros may be
+    left out: they add nothing to the entropy).  The concurrence roots
+    are the singular values of the ``(K, r, r)`` matrices
+    ``L^T (sy x sy) L``, largest first.
     """
-    a, c, b = m.reshape(-1, 16)[:, _MARGINAL_ENTRIES].sum(axis=-1).transpose(2, 0, 1)
-    a, c, b = a.real, c.real, np.abs(b)
-    high = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
-    return np.stack(((a * c - b * b) / high, high), axis=-1)
-
-
-def _measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states from their ascending eigensystems."""
-    c = _concurrences(evals, vecs)
+    roots = np.linalg.svd(factor.swapaxes(-1, -2) @ _SPIN_FLIP_KERNEL @ factor, compute_uv=False)
+    c = np.maximum(0.0, roots[:, 0] - roots[:, 1:].sum(axis=-1))
     s1, s2 = _entropies(_marginal_spectra(m)).T
     pt = np.linalg.eigvalsh(partial_transpose(m, (2, 2), "first"))[..., 0]
-    return np.array((c, _eofs(c), s1 + s2 - _entropies(evals), pt)).T
+    return np.array((c, _eofs(c), s1 + s2 - _entropies(joint), pt)).T
+
+
+def _factor_measures(factors: np.ndarray) -> np.ndarray:
+    """The ``(K, 4)`` measures of the states ``L L^dagger`` of a ``(K, 4, 2)`` factor stack.
+
+    Each ``L`` holds the amplitudes of a pure three-qubit state, the
+    kept pair indexing the rows and the traced-out qubit the columns,
+    so ``L L^dagger`` is that pair's reduced state.  By the Schmidt
+    decomposition its nonzero spectrum is that of the 2x2 Gram matrix
+    ``L^dagger L``, taken in closed form, and the concurrence needs the
+    SVD of 2x2 matrices only (Coffman, Kundu and Wootters, PRA 61,
+    052306 (2000)).  The built states pass the Hermiticity and trace
+    gates of :func:`validate_density`.  Positivity holds by
+    construction: the rest of the spectrum is exactly zero, so the
+    lowest eigenvalue is ``min(0, gram_low)``.
+    """
+    m = factors @ factors.conj().swapaxes(-1, -2)
+    gram = factors.conj().swapaxes(-1, -2) @ factors
+    joint = _two_level_spectra(gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1])
+    _check_density(m, np.minimum(joint[:, 0], 0.0))
+    return _measures(m, factors, joint)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -297,11 +336,12 @@ def measure_stack(states) -> np.ndarray:
     gated.
 
     One ``eigh`` per state feeds the positivity gate, the joint entropy
-    and the concurrence factor; the concurrence SVD and the
-    partial-transpose spectra are one call each on the whole stack, and
-    the marginal spectra are closed forms with no LAPACK call.  A real
-    stack is computed in ``float64`` throughout, anything else in
-    ``complex128``.
+    and the concurrence factor ``V sqrt(e)``; the concurrence SVD and
+    the partial-transpose spectra are one call each on the whole stack,
+    three LAPACK calls in all, and the marginal spectra are closed forms
+    with no LAPACK call.  (A verified sweep skips the ``eigh``: it reads
+    the factor off the amplitudes of its pure state.)  A real stack is
+    computed in ``float64`` throughout, anything else in ``complex128``.
     """
     m = np.asarray(states)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -309,7 +349,7 @@ def measure_stack(states) -> np.ndarray:
     m = _as_square_stack(m)
     evals, vecs = np.linalg.eigh(m)
     _check_density(m, evals[:, 0])
-    return _measures(m, evals, vecs)
+    return _measures(m, _eigen_factor(evals, vecs), evals)
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
@@ -321,4 +361,5 @@ def measure_set(rho: DensityMatrix) -> MeasureSet:
     if rho.dims != (2, 2):
         raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
     evals, vecs = rho._spectrum
-    return MeasureSet(*_measures(rho.matrix[None], evals[None], vecs[None])[0].tolist())
+    factor = _eigen_factor(evals, vecs)
+    return MeasureSet(*_measures(rho.matrix[None], factor[None], evals[None])[0].tolist())

@@ -177,12 +177,22 @@ def tripartite_state(params: ModelParams) -> np.ndarray:
     return _amplitudes([(params.alpha, params.omega, params.temperature)])[0]
 
 
-# einsum subscripts over psi[n, A, I, II] that trace out the third mode
-_TRACE_OUT = {
-    ModePair.A_I: "nabc,nxyc->nabxy",
-    ModePair.A_II: "nabc,nxbz->nacxz",
-    ModePair.I_II: "nabc,nayz->nbcyz",
-}
+# Basis index ``4m + 2n + p`` of each entry of the A_I, A_II and I_II factors:
+# the amplitudes psi[A, I, II] with the kept pair indexing the rows and the
+# traced-out mode the columns.
+_FACTOR_ENTRIES = np.array([
+    [[0, 1], [2, 3], [4, 5], [6, 7]],
+    [[0, 2], [1, 3], [4, 6], [5, 7]],
+    [[0, 4], [1, 5], [2, 6], [3, 7]],
+])
+
+
+def _pair_factors(amplitudes) -> np.ndarray:
+    """``(N, 3, 4, 2)`` factors ``L`` with ``rho_pair = L L^dagger``, pairs in ``ModePair`` order.
+
+    ``amplitudes`` has shape ``(N, 8)`` in the ``4m + 2n + p`` basis.
+    """
+    return np.asarray(amplitudes).reshape(-1, 8)[:, _FACTOR_ENTRIES]
 
 
 def pair_states(amplitudes, pair: ModePair) -> np.ndarray:
@@ -191,8 +201,8 @@ def pair_states(amplitudes, pair: ModePair) -> np.ndarray:
     ``amplitudes`` has shape ``(N, 8)`` in the ``4m + 2n + p`` basis;
     the result has shape ``(N, 4, 4)`` and is not validated.
     """
-    psi = np.asarray(amplitudes).reshape(-1, 2, 2, 2)
-    return np.einsum(_TRACE_OUT[pair], psi, psi.conj()).reshape(-1, 4, 4)
+    factor = _pair_factors(amplitudes)[:, list(ModePair).index(pair)]
+    return factor @ factor.conj().swapaxes(-1, -2)
 
 
 def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:

@@ -1,0 +1,26 @@
+"""The CLI emits the committed corpus byte for byte.
+
+``tests/output_corpus.py`` holds the invocations and regenerates the
+expected records; see its docstring for when and how.
+"""
+
+import difflib
+import json
+
+from output_corpus import CORPUS_PATH, FIGURE_2_PATH, INVOCATIONS, replay
+
+
+def test_every_invocation_emits_its_committed_bytes(tmp_path):
+    expected = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in expected] == INVOCATIONS, "corpus out of date: regenerate it"
+    records, figure = replay(tmp_path)
+    changed = [
+        f"{' '.join(want['argv'])}: "
+        + ", ".join(key for key in ("exit", "stdout", "stderr", "out") if got[key] != want[key])
+        for got, want in zip(records, expected)
+        if got != want
+    ]
+    assert not changed, "changed invocations:\n" + "\n".join(changed)
+    want_figure = FIGURE_2_PATH.read_text(encoding="utf-8")
+    diff = difflib.unified_diff(want_figure.splitlines(), figure.splitlines(), lineterm="", n=0)
+    assert figure == want_figure, "figure 2 cells changed:\n" + "\n".join(diff)

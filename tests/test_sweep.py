@@ -396,18 +396,19 @@ class TestEmissionBytes:
             emit(rows, out)
         assert out.getvalue() == ""
 
-def _skew(monkeypatch, entries=(0, 1, 2), temperature=None):
-    """Add 1e-6 to the ``entries`` of ``hawkent.sweep.closed_forms``.
+def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
+    """Add ``delta`` to the ``entries`` of ``hawkent.sweep.closed_forms``.
 
     The default entries are the three concurrences; with ``temperature``
-    given, only points at that temperature are skewed.
+    given, only points at that temperature are skewed.  A NaN ``delta``
+    makes the entries NaN.
     """
 
     def skewed(a, w, t):
         values = list(closed_forms(a, w, t))
         if temperature is None or t == temperature:
             for k in entries:
-                values[k] += 1e-6
+                values[k] += delta
         return tuple(values)
 
     monkeypatch.setattr("hawkent.sweep.closed_forms", skewed)
@@ -448,3 +449,32 @@ class TestVerification:
         expected = f"{_PAIRS[k % 3].value} {_MEASURES[k // 3]}: "
         with pytest.raises(VerificationError, match=re.escape(expected)):
             run_sweep(_config(spec))
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_nan_closed_form_is_reported_by_its_pair_and_measure(self, monkeypatch, k):
+        _skew(monkeypatch, entries=(k,), delta=math.nan)
+        spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
+        expected = f"{_PAIRS[k % 3].value} {_MEASURES[k // 3]}: nan vs "
+        with pytest.raises(VerificationError, match=re.escape(expected)):
+            run_sweep(_config(spec))
+
+    def test_nan_closed_form_fails_a_single_point(self, monkeypatch):
+        _skew(monkeypatch, entries=(11,), delta=math.nan)
+        with pytest.raises(VerificationError, match="I_II min PT eigenvalue: nan vs "):
+            evaluate_point(0.5, 1.0, 1.0)
+
+    def test_verified_sweep_makes_two_real_lapack_calls(self, monkeypatch):
+        calls = {}
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.setdefault(_name, []).append(np.asarray(a).dtype)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, scale="log",
+                         alpha=0.6, omega=1.0)
+        run_sweep(_config(spec))
+        # the 2x2 concurrence SVD and the partial-transpose spectra; no eigh,
+        # since each pair's factor is read off the amplitudes
+        assert {name: len(dtypes) for name, dtypes in calls.items()} == {"svd": 1, "eigvalsh": 1}
+        assert set(calls["svd"] + calls["eigvalsh"]) == {np.dtype(np.float64)}
