@@ -21,15 +21,18 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import operator
 import sys
 from dataclasses import astuple
 
 from .model import asymptotic_limits, hawking_temperature
 from .sweep import (
+    _CELL,
     CSV_COLUMNS,
     RunConfig,
     SweepSpec,
     VerificationError,
+    _render,
     emit_csv,
     emit_json,
     evaluate_point,
@@ -214,12 +217,11 @@ def figure_command(
         # the sweep's min is the fixed grid start; say so, since figure has no --min
         raise ValueError(f"figure {which} runs T from {_FIGURE_T_MIN:g} to --max: {exc}") from None
     rows = run_sweep(RunConfig(sweep=spec))
-    names = _FIGURE_COLUMNS[which]
-    indices = [CSV_COLUMNS.index(name) for name in names]
-    lines = ["temperature," + ",".join(names)]
-    for row in rows:
-        values = row.as_tuple()
-        lines.append(",".join(format_number(values[k]) for k in (2, *indices)))
+    names = ("temperature", *_FIGURE_COLUMNS[which])
+    cells = operator.itemgetter(*[CSV_COLUMNS.index(name) for name in names])
+    # one line template per row, as emit_csv renders its rows
+    template = ",".join([_CELL] * len(names))
+    lines = [",".join(names), *[_render(template, cells(row)) for row in rows]]
     return "\n".join(lines) + "\n"
 
 

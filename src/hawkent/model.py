@@ -23,9 +23,11 @@ parameter point; the sweep driver does exactly that in verify mode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +94,11 @@ class ModelParams:
 
     def __post_init__(self):
         check_params(self.alpha, self.omega, self.temperature)
+
+    @cached_property
+    def _closed_forms(self) -> tuple[float, ...]:
+        # the four closed_form_* views of one point share one evaluation
+        return closed_forms(self.alpha, self.omega, self.temperature)
 
 
 @dataclass(frozen=True)
@@ -161,20 +168,37 @@ def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     return ThermalFactors(*_weights(omega, temperature))
 
 
-def _amplitudes(points) -> np.ndarray:
-    """``(N, 8)`` amplitude vectors of checked ``(alpha, omega, T)`` points."""
-    support = []
+def _weight_columns(points) -> np.ndarray:
+    """``(N, 8)`` block of checked ``(alpha, omega, T)`` points, from one pass.
+
+    The columns are alpha, omega, T, f-, f+, ``alpha**2``, ``f-**2`` and
+    ``f+**2``.  The weights and squares are taken with Python floats:
+    numpy's ``exp`` and ``a**2`` differ from libm's in the last bit on
+    some arguments, and a point's values must not depend on its batch.
+    """
+    columns = []
     for alpha, omega, temperature in points:
         f_minus, f_plus = _weights(omega, temperature)
-        support.append((alpha * f_minus, alpha * f_plus, math.sqrt(1.0 - alpha**2)))
-    amp = np.zeros((len(support), 8))
-    amp[:, [0, 3, 6]] = support  # |000>, |011>, |110>
-    return amp
+        columns.append(
+            (alpha, omega, temperature, f_minus, f_plus, alpha**2, f_minus**2, f_plus**2)
+        )
+    cells = itertools.chain.from_iterable(columns)
+    return np.fromiter(cells, float, 8 * len(columns)).reshape(-1, 8)
+
+
+def _amplitudes(weights: np.ndarray) -> np.ndarray:
+    """``(N, 8)`` amplitude vectors of the points of a :func:`_weight_columns` block."""
+    alpha = weights[:, 0]
+    amplitudes = np.zeros((len(weights), 8))
+    amplitudes[:, 0] = alpha * weights[:, 3]  # |000>
+    amplitudes[:, 3] = alpha * weights[:, 4]  # |011>
+    amplitudes[:, 6] = np.sqrt(1.0 - weights[:, 5])  # |110>
+    return amplitudes
 
 
 def tripartite_state(params: ModelParams) -> np.ndarray:
     """Amplitude vector of ``|psi>`` in the ``4m + 2n + p`` basis."""
-    return _amplitudes([(params.alpha, params.omega, params.temperature)])[0]
+    return _amplitudes(_weight_columns([(params.alpha, params.omega, params.temperature)]))[0]
 
 
 # Basis index ``4m + 2n + p`` of each entry of the A_I, A_II and I_II factors:
@@ -210,14 +234,80 @@ def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
 
 
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits of each cell of an ``(N, k)`` block of probabilities in [0, 1].
+
+    Bit for bit :func:`~hawkent.measures.binary_entropy` of each cell:
+    the logarithms are libm's ``math.log2`` (numpy's ``log2`` differs in
+    the last bit on some arguments), and the order is
+    ``0.0 - p log2 p - q log2 q``.  A zero cell takes ``log2(1) = 0``,
+    so its term is ``+0.0``, as if skipped.  There is no clamp: the
+    closed forms only pass probabilities inside [0, 1].
+    """
+    pq = np.concatenate((p, 1.0 - p))
+    cells = np.where(pq > 0.0, pq, 1.0).ravel().tolist()
+    terms = pq * np.fromiter(map(math.log2, cells), float, len(cells)).reshape(pq.shape)
+    return 0.0 - terms[: len(p)] - terms[len(p) :]
+
+
+def _closed_table(points) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep rows and amplitudes of checked ``(alpha, omega, T)`` points.
+
+    Returns the ``(N, 15)`` table of rows in the order of the sweep's
+    CSV columns, each point followed by the twelve closed forms of
+    :func:`closed_forms`, and the ``(N, 8)`` amplitudes of
+    :func:`tripartite_state`, both from one :func:`_weight_columns`
+    pass.  Each closed form is one numpy expression over the columns.
+    numpy runs only ``+ - * /`` and ``sqrt``, which are correctly
+    rounded, in the order of operations of the scalar formulas, so a
+    point's cells have the same bits whatever the batch around it.
+    """
+    weights = _weight_columns(points)
+    alpha, f_minus, f_plus, a2, fm2, fp2 = weights[:, [0, 3, 4, 5, 6, 7]].T
+    f2 = weights[:, 6:]  # f-^2, f+^2
+    n = len(weights)
+    table = np.empty((n, 15))
+    table[:, :3] = weights[:, :3]
+    two_alpha = 2.0 * alpha
+    pure = two_alpha * np.sqrt(1.0 - alpha * alpha)
+    table[:, 3] = pure * f_minus
+    table[:, 4] = pure * f_plus
+    table[:, 5] = two_alpha * alpha * f_minus * f_plus
+    c = table[:, 3:6]
+    # EoF from the concurrence, then S(A) = H2(a^2), S(I) = H2(a^2 f-^2), S(II) = H2(a^2 f+^2)
+    p = np.empty((n, 6))
+    p[:, :3] = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+    p[:, 3] = a2
+    p[:, 4:] = a2[:, None] * f2
+    entropies = _binary_entropies(p)
+    table[:, 6:9] = entropies[:, :3]
+    s_a, s_i, s_ii = entropies[:, 3:].T
+    table[:, 9] = s_a + s_i - s_ii
+    table[:, 10] = s_a + s_ii - s_i
+    table[:, 11] = s_i + s_ii - s_a
+    # (d, 4 c^2) of the A_I, A_II and I_II partial transposes, with d
+    # a^2 f+^2, a^2 f-^2 and 1 - a^2
+    b2 = 1.0 - a2
+    d = p[:, [5, 4, 3]]
+    d[:, 2] = b2
+    cc4 = np.empty((n, 3))
+    cc4[:, :2] = (4.0 * a2 * b2)[:, None] * f2
+    cc4[:, 2] = 4.0 * a2 * a2 * fm2 * fp2
+    table[:, 12:] = 0.5 * (d - np.sqrt(d * d + cc4))
+    return table, _amplitudes(weights)
+
+
 def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float, ...]:
     """The twelve pair measures at one point, as explicit functions of the inputs.
 
     Returned in the order of the sweep's CSV columns: concurrence, EoF,
     mutual information and min PT eigenvalue, each for A_I, A_II, I_II.
-    The thermal weights are computed once.  The point is not
-    range-checked here; callers pass a :class:`ModelParams` or a
-    ``SweepSpec`` grid value, or call :func:`check_params` first.
+    This is the one-row view of the table a sweep evaluates, so the
+    values are bit for bit a sweep's at the same point; for many points
+    a sweep is much cheaper per point than calls of this function.  The
+    point is not range-checked here; callers pass a
+    :class:`ModelParams` or a ``SweepSpec`` grid value, or call
+    :func:`check_params` first.
 
     Concurrence: A_I and A_II keep the pure-state value
     ``2 alpha sqrt(1-alpha^2)`` scaled by ``f-`` and ``f+``.  The I_II
@@ -236,37 +326,11 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     ``d`` to the coherence ``c`` moved off-axis by the transpose, giving
     the block eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
     """
-    f_minus, f_plus = _weights(omega, temperature)
-    pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
-    c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
-    eof = [binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - x * x))) / 2.0) for x in c]
-    a2 = alpha**2
-    b2 = 1.0 - a2
-    fm2 = f_minus**2
-    fp2 = f_plus**2
-    s_a = binary_entropy(a2)
-    s_i = binary_entropy(a2 * fm2)
-    s_ii = binary_entropy(a2 * fp2)
-    four_ab = 4.0 * a2 * b2
-    # (d, 4 c^2) of the A_I, A_II and I_II partial transposes
-    blocks = (
-        (a2 * fp2, four_ab * fm2),
-        (a2 * fm2, four_ab * fp2),
-        (b2, 4.0 * a2 * a2 * fm2 * fp2),
-    )
-    return (
-        *c,
-        *eof,
-        s_a + s_i - s_ii,
-        s_a + s_ii - s_i,
-        s_i + s_ii - s_a,
-        *(0.5 * (d - math.sqrt(d * d + cc4)) for d, cc4 in blocks),
-    )
+    return tuple(_closed_table([(alpha, omega, temperature)])[0][0, 3:].tolist())
 
 
 def _closed_form(measure: int, params: ModelParams, pair: ModePair) -> float:
-    values = closed_forms(params.alpha, params.omega, params.temperature)
-    return values[3 * measure + list(ModePair).index(pair)]
+    return params._closed_forms[3 * measure + list(ModePair).index(pair)]
 
 
 def closed_form_concurrence(params: ModelParams, pair: ModePair) -> float:

@@ -1,20 +1,22 @@
 """Parameter sweeps over the three-mode model, with CSV/JSON emission.
 
 A sweep varies exactly one of (alpha, omega, temperature) over an
-ascending grid while the other two stay fixed.  Each grid point yields
-one row of twelve measures (four per mode pair) from one call of
-:func:`~hawkent.model.closed_forms`, which computes the thermal weights
-once per point.  In verify mode the whole grid is then recomputed
-through the spectral route in one pass, in two LAPACK calls: the
-amplitudes of every point come from the same thermal weights, and
-reshaped they give each pair's 4x2 factor ``L`` with
-``rho_pair = L L^dagger``.  The spectral kernel of
+ascending grid while the other two stay fixed.  The whole grid is
+evaluated as one table: one Python pass takes the thermal weights of
+every point, each closed form is then one numpy expression over the
+``(N,)`` columns, and the rows are read off the ``(N, 15)`` table.  The
+cells have the bits of :func:`~hawkent.model.closed_forms` at each
+point, whatever the grid around it.  In verify mode the same pass
+gives every point's amplitudes, and reshaped they give each pair's 4x2
+factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 :mod:`hawkent.measures` measures all ``3N`` pair states from those
-factors at once, with no eigensolver on the 4x4 states, and the run
-aborts on the first disagreement beyond 1e-9 in grid order (a NaN on
-either side is a disagreement), so emitted numbers are never
-untested.  The spectral route never reads a closed-form value, and the
-emitted values are the closed forms either way.
+factors at once, in two LAPACK calls and with no eigensolver on the
+4x4 states, and compares them with the table's ``(N, 3, 4)`` view of
+the closed forms.  The run aborts on the first disagreement beyond
+1e-9 in grid order (a NaN on either side is a disagreement), so
+emitted numbers are never untested.  The spectral route never reads a
+closed-form value, and the emitted values are the closed forms either
+way.
 
 Emission formats every cell once.  One line template renders a row's
 fifteen cells with 12 significant digits (``-0.0`` printed as ``0.0``)
@@ -27,7 +29,6 @@ format, for the CLI's text reports.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from collections import namedtuple
@@ -37,7 +38,7 @@ from typing import IO
 import numpy as np
 
 from .measures import _factor_measures
-from .model import ModePair, _amplitudes, _pair_factors, check_params, closed_forms
+from .model import ModePair, _closed_table, _pair_factors, check_params
 
 __all__ = [
     "CSV_COLUMNS",
@@ -187,29 +188,37 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.min, spec.max, spec.steps)
 
 
-def _verify(rows: list[SweepRow]) -> None:
+def _verify(table: np.ndarray, amplitudes: np.ndarray) -> None:
     """Recompute every row through the spectral route and compare.
 
-    Raises :class:`VerificationError` for the first (point, pair,
-    measure), in grid order, whose closed-form and spectral values
-    differ by more than ``VERIFY_ATOL``.
+    ``table`` and ``amplitudes`` are the ``(N, 15)`` rows and ``(N, 8)``
+    amplitudes of the same points.  Raises :class:`VerificationError`
+    for the first (point, pair, measure), in grid order, whose
+    closed-form and spectral values differ by more than ``VERIFY_ATOL``.
     """
-    factors = _pair_factors(_amplitudes([r[:3] for r in rows])).reshape(-1, 4, 2)
-    spectral = _factor_measures(factors).reshape(len(rows), len(_PAIRS), 4)
-    # fromiter reads the namedtuples in about half the time np.array(rows) takes
-    values = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(CSV_COLUMNS))
+    n = len(table)
+    factors = _pair_factors(amplitudes).reshape(-1, 4, 2)
+    spectral = _factor_measures(factors).reshape(n, len(_PAIRS), 4)
     # CSV columns after the parameters run measure by measure, pair by pair
-    closed = values.reshape(len(rows), -1)[:, 3:].reshape(-1, 4, len(_PAIRS)).transpose(0, 2, 1)
+    closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)
     # NaN on either side fails: it is never within the tolerance
     failing = np.argwhere(~(np.abs(closed - spectral) <= VERIFY_ATOL))
     if failing.size:
         k, p, j = failing[0]
-        row = rows[k]
+        alpha, omega, temperature = table[k, :3].tolist()
         raise VerificationError(
-            f"closed-form vs spectral mismatch at alpha={row.alpha:.12g}, "
-            f"omega={row.omega:.12g}, temperature={row.temperature:.12g}: "
+            f"closed-form vs spectral mismatch at alpha={alpha:.12g}, "
+            f"omega={omega:.12g}, temperature={temperature:.12g}: "
             f"{_PAIRS[p].value} {_MEASURES[j]}: {closed[k, p, j]:.15g} vs {spectral[k, p, j]:.15g}"
         )
+
+
+def _rows(points, verify: bool) -> list[SweepRow]:
+    """The rows of checked points from one table, cross-checked if ``verify``."""
+    table, amplitudes = _closed_table(points)
+    if verify:
+        _verify(table, amplitudes)
+    return list(map(SweepRow._make, table.tolist()))
 
 
 def evaluate_point(
@@ -217,37 +226,33 @@ def evaluate_point(
 ) -> SweepRow:
     """Closed-form measures at one point, optionally cross-checked.
 
-    The parameters are range-checked first.  With ``verify`` on, the
-    three pair states of the point go through the same stacked spectral
-    check as a sweep, as a batch of one; a gap above ``VERIFY_ATOL``
-    raises :class:`VerificationError` naming the point and the measure.
+    The parameters are range-checked first.  The row is the one-row
+    table of a sweep at the point.  With ``verify`` on, the three pair
+    states of the point go through the same stacked spectral check as a
+    sweep, as a batch of one; a gap above ``VERIFY_ATOL`` raises
+    :class:`VerificationError` naming the point and the measure.
     """
     check_params(alpha, omega, temperature)
-    row = SweepRow(alpha, omega, temperature, *closed_forms(alpha, omega, temperature))
-    if verify:
-        _verify([row])
-    return row
+    return _rows([(alpha, omega, temperature)], verify)[0]
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:
     """Evaluate the sweep grid in ascending order.
 
-    Each row comes from one :func:`closed_forms` call at its grid point;
-    ``SweepSpec`` has already range-checked the whole grid.  With
-    ``config.verify`` on, the whole grid is then checked in one stacked
+    The whole grid is evaluated as one table (see the module
+    docstring); ``SweepSpec`` has already range-checked it.  With
+    ``config.verify`` on, the table is then checked in one stacked
     spectral pass.  The rows, and so the emitted bytes, are the same as
     from :func:`evaluate_point` called on each grid value in turn.
     """
     spec = config.sweep
     point = [getattr(spec, name) for name in _VARIABLES]
     varied = _VARIABLES.index(spec.vary)
-    rows = []
+    points = []
     for value in grid_values(spec).tolist():
         point[varied] = value
-        rows.append(SweepRow(*point, *closed_forms(*point)))
-    if config.verify:
-        _verify(rows)
-    return rows
+        points.append(tuple(point))
+    return _rows(points, config.verify)
 
 
 def _csv_lines(rows: list[SweepRow]) -> list[str]:

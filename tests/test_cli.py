@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hawkent.cli import figure_command, limits_command, main, parse_args
-from hawkent.model import ModePair, closed_forms, hawking_temperature
+from hawkent.model import ModePair, _closed_table, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, RunConfig, evaluate_point, format_number
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -276,11 +276,12 @@ class TestSweepCommand:
             assert cells[5] == "0.00000000000"  # C_I_II vanishes at T = 0
 
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
-        def skewed(alpha, omega, temperature):
-            values = closed_forms(alpha, omega, temperature)
-            return (*(c + 1e-6 for c in values[:3]), *values[3:])
+        def skewed(points):
+            table, amplitudes = _closed_table(points)
+            table[:, 3:6] += 1e-6
+            return table, amplitudes
 
-        monkeypatch.setattr("hawkent.sweep.closed_forms", skewed)
+        monkeypatch.setattr("hawkent.sweep._closed_table", skewed)
         code = main(SWEEP_ARGS)
         captured = capsys.readouterr()
         assert code == 3

@@ -499,14 +499,14 @@ class TestFactorRoute:
         assert np.all(self._gaps(psi) <= FACTOR_ROUTE_BOUNDS)
 
     def test_model_grid(self):
-        from hawkent.model import _amplitudes
+        from hawkent.model import _closed_table
 
         points = [
             (alpha, 1.0, temperature)
             for alpha in np.linspace(0.01, 0.99, 25).tolist()
             for temperature in [0.0, *np.geomspace(1e-3, 1e3, 41).tolist()]
         ]
-        assert np.all(self._gaps(_amplitudes(points)) <= FACTOR_ROUTE_BOUNDS)
+        assert np.all(self._gaps(_closed_table(points)[1]) <= FACTOR_ROUTE_BOUNDS)
 
     def test_ghz_orbit_has_unentangled_pairs(self):
         # local unitaries keep every pair of GHZ at C = 0 with both concurrence

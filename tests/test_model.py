@@ -2,11 +2,14 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import hawkent.model
 from hawkent.measures import (
+    TRACE_ATOL,
     measure_set,
     mutual_information,
     one_to_rest_tangle,
@@ -14,6 +17,7 @@ from hawkent.measures import (
     von_neumann_entropy,
 )
 from hawkent.model import (
+    _closed_table,
     LimitReport,
     ModelParams,
     ModePair,
@@ -29,6 +33,7 @@ from hawkent.model import (
     thermal_factors,
     tripartite_state,
 )
+from hawkent.sweep import RunConfig, SweepSpec, run_sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SPOT = ModelParams(alpha=INV_SQRT2, omega=1.0, temperature=1.0)
@@ -246,6 +251,138 @@ class TestClosedFormsAgainstSpectralRoute:
         assert len(values) == 12
         for got, want in zip(values, frozen):
             assert abs(got - want) <= 1e-14
+
+
+# The scalar closed forms that sweeps evaluated one point at a time before
+# they evaluated one table, copied verbatim: the table must reproduce them
+# bit for bit, sign of zero included.
+def _ref_weights(omega, temperature):
+    if temperature == 0.0:
+        return 1.0, 0.0
+    x = omega / temperature
+    denom = math.sqrt(1.0 + math.exp(-x))
+    return 1.0 / denom, math.exp(-x / 2.0) / denom
+
+
+def _ref_binary_entropy(p):
+    if -TRACE_ATOL <= p < 0.0:
+        p = 0.0
+    elif 1.0 < p <= 1.0 + TRACE_ATOL:
+        p = 1.0
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p!r} outside [0, 1]")
+    out = 0.0
+    for q in (p, 1.0 - p):
+        if q > 0.0:
+            out -= q * math.log2(q)
+    return out
+
+
+def _ref_row(alpha, omega, temperature):
+    f_minus, f_plus = _ref_weights(omega, temperature)
+    pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
+    c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
+    eof = [_ref_binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - x * x))) / 2.0) for x in c]
+    a2 = alpha**2
+    b2 = 1.0 - a2
+    fm2 = f_minus**2
+    fp2 = f_plus**2
+    s_a = _ref_binary_entropy(a2)
+    s_i = _ref_binary_entropy(a2 * fm2)
+    s_ii = _ref_binary_entropy(a2 * fp2)
+    four_ab = 4.0 * a2 * b2
+    blocks = (
+        (a2 * fp2, four_ab * fm2),
+        (a2 * fm2, four_ab * fp2),
+        (b2, 4.0 * a2 * a2 * fm2 * fp2),
+    )
+    return (
+        alpha,
+        omega,
+        temperature,
+        *c,
+        *eof,
+        s_a + s_i - s_ii,
+        s_a + s_ii - s_i,
+        s_i + s_ii - s_a,
+        *(0.5 * (d - math.sqrt(d * d + cc4)) for d, cc4 in blocks),
+    )
+
+
+def _ref_amplitudes(alpha, omega, temperature):
+    f_minus, f_plus = _ref_weights(omega, temperature)
+    amp = [0.0] * 8
+    amp[0], amp[3], amp[6] = alpha * f_minus, alpha * f_plus, math.sqrt(1.0 - alpha**2)
+    return amp
+
+
+def _table_points():
+    rng = np.random.default_rng(20261018)
+    alphas = [1e-300, 1e-160, 1e-8, 0.5, INV_SQRT2, 1.0 - 1e-16]
+    alphas += rng.uniform(0.0, 1.0, 12).tolist() + np.exp(rng.uniform(-690.0, 0.0, 6)).tolist()
+    omegas = [1e-300, 1.0, 1e300, *np.exp(rng.uniform(-40.0, 690.0, 5)).tolist()]
+    temperatures = [0.0, 5e-324, 1e300, sys.float_info.max]
+    temperatures += np.exp(rng.uniform(-40.0, 690.0, 8)).tolist()
+    points = [(a, w, t) for a in alphas for w in omegas for t in temperatures if 0.0 < a < 1.0]
+    # and w/T over the range where both weights are resolved; libm's pow(a, 2)
+    # differs from a * a on about 1 in 1000 draws, so enough of them to catch it
+    alpha = rng.uniform(0.0, 1.0, 10000).tolist()
+    ratio = np.exp(rng.uniform(np.log(1e-3), np.log(700.0), 10000)).tolist()
+    return points + [(a, 1.0, 1.0 / x) for a, x in zip(alpha, ratio)]
+
+
+TABLE_POINTS = _table_points()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestClosedTable:
+    def test_rows_match_the_scalar_formulas_bit_for_bit(self):
+        table, _ = _closed_table(TABLE_POINTS)
+        reference = [_ref_row(*point) for point in TABLE_POINTS]
+        assert table.shape == (len(TABLE_POINTS), 15)
+        assert np.array_equal(_bits(table), _bits(reference))
+
+    def test_amplitudes_match_the_scalar_formulas_bit_for_bit(self):
+        _, amplitudes = _closed_table(TABLE_POINTS)
+        reference = [_ref_amplitudes(*point) for point in TABLE_POINTS]
+        assert np.array_equal(_bits(amplitudes), _bits(reference))
+        assert np.array_equal(_bits(tripartite_state(ModelParams(*TABLE_POINTS[7]))), _bits(reference[7]))
+
+    def test_closed_forms_is_the_one_row_view(self):
+        for point in TABLE_POINTS[::37]:
+            assert np.array_equal(_bits(closed_forms(*point)), _bits(_ref_row(*point)[3:]))
+
+    @pytest.mark.parametrize("size", [2, 200])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_a_point_has_the_same_row_alone_and_in_a_batch(self, size, position):
+        point = (0.62333, 80.596, 4.7067)
+        others = TABLE_POINTS[:: len(TABLE_POINTS) // size][: size - 1]
+        k = {"first": 0, "middle": size // 2, "last": size - 1}[position]
+        batch = [*others[:k], point, *others[k:]]
+        alone_table, alone_amplitudes = _closed_table([point])
+        table, amplitudes = _closed_table(batch)
+        assert len(batch) == size
+        assert np.array_equal(_bits(table[k]), _bits(alone_table[0]))
+        assert np.array_equal(_bits(amplitudes[k]), _bits(alone_amplitudes[0]))
+
+    def test_verified_sweep_takes_the_weights_once_per_point(self, monkeypatch):
+        calls = []
+        weights = hawkent.model._weights
+
+        def counted(omega, temperature):
+            calls.append(temperature)
+            return weights(omega, temperature)
+
+        monkeypatch.setattr("hawkent.model._weights", counted)
+        spec = SweepSpec(
+            vary="temperature", min=0.01, max=10.0, steps=40, scale="log", alpha=0.6, omega=1.0
+        )
+        rows = run_sweep(RunConfig(sweep=spec, verify=True))
+        assert len(rows) == 40
+        assert len(calls) == 40
 
 
 class TestStructuralIdentities:

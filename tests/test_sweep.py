@@ -12,11 +12,11 @@ import pytest
 
 from hawkent.model import ModelParams, ModePair
 from hawkent.model import (
+    _closed_table,
     closed_form_concurrence,
     closed_form_eof,
     closed_form_min_pt_eigenvalue,
     closed_form_mutual_information,
-    closed_forms,
 )
 from hawkent.sweep import (
     _MEASURES,
@@ -397,21 +397,22 @@ class TestEmissionBytes:
         assert out.getvalue() == ""
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
-    """Add ``delta`` to the ``entries`` of ``hawkent.sweep.closed_forms``.
+    """Add ``delta`` to the closed-form ``entries`` of ``hawkent.sweep._closed_table``.
 
-    The default entries are the three concurrences; with ``temperature``
-    given, only points at that temperature are skewed.  A NaN ``delta``
-    makes the entries NaN.
+    ``entries`` index the twelve closed forms in CSV order; the default
+    entries are the three concurrences.  With ``temperature`` given,
+    only points at that temperature are skewed.  A NaN ``delta`` makes
+    the entries NaN.
     """
 
-    def skewed(a, w, t):
-        values = list(closed_forms(a, w, t))
-        if temperature is None or t == temperature:
-            for k in entries:
-                values[k] += delta
-        return tuple(values)
+    def skewed(points):
+        table, amplitudes = _closed_table(points)
+        rows = slice(None) if temperature is None else table[:, 2] == temperature
+        for k in entries:
+            table[rows, 3 + k] += delta
+        return table, amplitudes
 
-    monkeypatch.setattr("hawkent.sweep.closed_forms", skewed)
+    monkeypatch.setattr("hawkent.sweep._closed_table", skewed)
 
 
 class TestVerification:
