@@ -34,10 +34,12 @@ LAPACK calls in all.  A verified sweep feeds it the 4x2 factor that
 the amplitudes of its pure three-mode state already are, and the
 closed-form spectrum of the 2x2 Gram matrix ``L^dagger L``, so it makes
 two.  The one-qubit marginal spectra are closed forms of the 2x2
-entries.  Real input stays real, so the real pair states of the model
-reach the real LAPACK routines.  A :class:`DensityMatrix` takes its
-eigensystem and runs the density gate once, and every single-state
-measure reads that eigensystem.
+entries, and the partial transpose is a fixed gather of 16 entries.
+Both marginal spectra, the joint spectrum and the EoF pair go through
+one ``x log2 x`` pass.  Real input stays real, so the real pair states
+of the model reach the real LAPACK routines.  A :class:`DensityMatrix`
+takes its eigensystem and runs the density gate once, and every
+single-state measure reads that eigensystem.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .linalg import (
     _not_hermitian,
     _not_psd,
     _split_dims,
-    partial_transpose,
 )
 
 __all__ = [
@@ -80,8 +81,8 @@ TRACE_ATOL = 1e-12
 # Eigenvalues of rho this far below its largest are rounding dust.
 _RANK_CUT = 16.0 * np.finfo(float).eps
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP_KERNEL = np.kron(_SIGMA_Y, _SIGMA_Y).real
+# ``(sy x sy) L`` is ``L`` with its rows reversed and the first and last negated.
+_SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +103,7 @@ class DensityMatrix:
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending ``(evals, vecs)`` of the matrix, taken once and gated."""
-        m = _as_square(self.matrix)
-        _split_dims(m.shape[0], self.dims)
-        evals, vecs = np.linalg.eigh(m)
-        _check_density(m[None], evals[:1])
-        return evals, vecs
+        return validate_density(self.matrix, self.dims)._spectrum
 
 
 @dataclass(frozen=True)
@@ -127,17 +124,18 @@ def _check_density(m: np.ndarray, lowest: np.ndarray) -> None:
     1e-12 or has an eigenvalue below -1e-10 raises the ValueError that
     :func:`validate_density` gives for it.
     """
-    defect = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    trace = m.trace(axis1=-2, axis2=-1)
+    k, d = m.shape[:2]
+    defect = np.abs(m - m.swapaxes(-1, -2).conj()).reshape(k, d * d).max(axis=1)
+    trace = m.reshape(k, d * d)[:, :: d + 1].sum(axis=1)
     bad = (defect > HERMITICITY_ATOL) | (np.abs(trace - 1.0) > TRACE_ATOL) | (lowest < -PSD_ATOL)
     if not bad.any():
         return
-    k = bad.argmax()
-    if defect[k] > HERMITICITY_ATOL:
-        raise _not_hermitian(defect[k])
-    if abs(trace[k] - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {trace[k].real:.15g}, expected 1 within {TRACE_ATOL:g}")
-    raise _not_psd(lowest[k])
+    first = bad.argmax()
+    if defect[first] > HERMITICITY_ATOL:
+        raise _not_hermitian(defect[first])
+    if abs(trace[first] - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace is {trace[first].real:.15g}, expected 1 within {TRACE_ATOL:g}")
+    raise _not_psd(lowest[first])
 
 
 def validate_density(matrix, dims) -> DensityMatrix:
@@ -157,7 +155,9 @@ def validate_density(matrix, dims) -> DensityMatrix:
     m = _as_square(matrix).copy()
     m.flags.writeable = False
     rho = DensityMatrix(matrix=m, dims=_split_dims(m.shape[0], dims))
-    rho._spectrum  # runs the gate
+    evals, vecs = np.linalg.eigh(m)
+    _check_density(m[None], evals[:1])
+    vars(rho)["_spectrum"] = evals, vecs  # fills the cached property
     return rho
 
 
@@ -178,25 +178,12 @@ def binary_entropy(p: float) -> float:
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """``x log2 x`` elementwise, with 0 where ``x <= 0``."""
-    return x * np.log2(np.where(x > 0.0, x, 1.0))
-
-
-def _entropies(spectra: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each spectrum along the last axis.
-
-    The first entry of each spectrum must be its smallest; dust in
-    ``[-PSD_ATOL, 0)`` counts as an exact zero.
-    """
-    lowest = spectra[..., 0]
-    bad = lowest < -PSD_ATOL
-    if bad.any():
-        raise _not_psd(lowest[bad][0])
-    return -_xlogx(spectra).sum(axis=-1)
+    return x * np.log2(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum, in bits; 0 for pure states."""
-    return float(_entropies(rho._spectrum[0]))
+    return 0.0 - float(_xlogx(rho._spectrum[0]).sum())
 
 
 def _eigen_factor(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -205,14 +192,8 @@ def _eigen_factor(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     Eigenvalues below ``_RANK_CUT`` times the largest, negative dust
     included, become exact zeros first.
     """
-    evals = np.where(evals < _RANK_CUT * evals[..., -1:], 0.0, evals)
-    return vecs * np.sqrt(evals)[..., None, :]
-
-
-def _eofs(c) -> np.ndarray:
-    """EoF from the concurrence: binary entropy of ``(1 + sqrt(1 - C^2)) / 2``."""
-    p = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
-    return -(p * np.log2(p) + _xlogx(1.0 - p))
+    kept = evals >= _RANK_CUT * evals[..., -1:]
+    return vecs * np.sqrt(evals * kept)[..., None, :]
 
 
 def _two_level_spectra(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,13 +204,19 @@ def _two_level_spectra(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarra
     difference, which cancels when the matrix is near rank one.
     """
     a, c, b = a.real, c.real, np.abs(b)
-    high = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
-    return np.stack(((a * c - b * b) / high, high), axis=-1)
+    out = np.empty((*a.shape, 2))
+    high = np.add((a + c) / 2.0, np.hypot((a - c) / 2.0, b), out=out[..., 1])
+    np.divide(a * c - b * b, high, out=out[..., 0])
+    return out
 
 
 # Flat ``row * 4 + col`` entries of a two-qubit state summed into ``a``, ``c``
 # and ``b`` of its marginal ``[[a, b], [b*, c]]``: first qubit kept, then second.
 _MARGINAL_ENTRIES = np.array([[[0, 5], [10, 15], [2, 7]], [[0, 10], [5, 15], [1, 11]]])
+
+# Flat entries of a two-qubit state that form its partial transpose on the
+# first qubit: entry ``(i1 i2, j1 j2)`` is read from ``(j1 i2, i1 j2)``.
+_PT_ENTRIES = np.arange(16).reshape(2, 2, 2, 2).swapaxes(0, 2).reshape(4, 4)
 
 
 def _marginal_spectra(m: np.ndarray) -> np.ndarray:
@@ -245,13 +232,32 @@ def _measures(m: np.ndarray, factor: np.ndarray, joint: np.ndarray) -> np.ndarra
     ``joint`` the ascending nonzero spectrum of each state (zeros may be
     left out: they add nothing to the entropy).  The concurrence roots
     are the singular values of the ``(K, r, r)`` matrices
-    ``L^T (sy x sy) L``, largest first.
+    ``L^T (sy x sy) L``, largest first.  Each state's probabilities
+    (both marginal spectra, the EoF pair ``p, 1 - p`` and the joint
+    spectrum) form one row of a block that takes one ``x log2 x`` pass;
+    entropies are ``0.0 - sum``, so a zero entropy is ``+0.0``.
     """
-    roots = np.linalg.svd(factor.swapaxes(-1, -2) @ _SPIN_FLIP_KERNEL @ factor, compute_uv=False)
-    c = np.maximum(0.0, roots[:, 0] - roots[:, 1:].sum(axis=-1))
-    s1, s2 = _entropies(_marginal_spectra(m)).T
-    pt = np.linalg.eigvalsh(partial_transpose(m, (2, 2), "first"))[..., 0]
-    return np.array((c, _eofs(c), s1 + s2 - _entropies(joint), pt)).T
+    k, r = joint.shape
+    out = np.empty((k, 4))
+    spin_flipped = _SPIN_FLIP_SIGNS * factor[:, ::-1]
+    roots = np.linalg.svd(spin_flipped.swapaxes(-1, -2) @ factor, compute_uv=False)
+    c = np.maximum(0.0, roots[:, 0] - roots[:, 1:].sum(axis=-1), out=out[:, 0])
+    p = np.empty((k, 6 + r))
+    p[:, :4] = _marginal_spectra(m).reshape(k, 4)
+    lowest = p[:, 0:4:2]
+    bad = lowest < -PSD_ATOL
+    if bad.any():
+        raise _not_psd(lowest[bad][0])
+    p[:, 4] = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+    p[:, 5] = 1.0 - p[:, 4]
+    p[:, 6:] = joint
+    h = _xlogx(p)
+    # minus the entropies of the two marginals and of the EoF pair
+    pairs = h[:, 0:6:2] + h[:, 1:6:2]
+    np.subtract(0.0, pairs[:, 2], out=out[:, 1])
+    np.subtract(h[:, 6:].sum(axis=1), pairs[:, 0] + pairs[:, 1], out=out[:, 2])
+    out[:, 3] = np.linalg.eigvalsh(m.reshape(k, 16)[:, _PT_ENTRIES])[:, 0]
+    return out
 
 
 def _factor_measures(factors: np.ndarray) -> np.ndarray:
@@ -356,10 +362,11 @@ def measure_set(rho: DensityMatrix) -> MeasureSet:
     """All four pairwise measures of one two-qubit state.
 
     Reads the eigensystem taken when the state was gated; the four
-    single-state two-qubit measures are fields of this result.
+    single-state two-qubit measures are fields of this result.  The
+    dims must be the pair ``(2, 2)`` in any integer sequence.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
     evals, vecs = rho._spectrum
+    if _split_dims(len(evals), rho.dims) != (2, 2):
+        raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
     factor = _eigen_factor(evals, vecs)
     return MeasureSet(*_measures(rho.matrix[None], factor[None], evals[None])[0].tolist())

@@ -169,6 +169,12 @@ class TestVonNeumannEntropy:
         marginal = _state(np.diag([0.365529289315002, 0.634470710684998]), dims=(2, 1))
         assert abs(von_neumann_entropy(marginal) - 0.947177406096995) <= 1e-12
 
+    @pytest.mark.parametrize("pure", [RHO_BELL, np.diag([1.0, 0.0, 0.0, 0.0])], ids=["bell", "product"])
+    def test_pure_state_entropy_is_not_negative_zero(self, pure):
+        from hawkent.measures import von_neumann_entropy
+
+        assert math.copysign(1.0, von_neumann_entropy(_state(pure))) == 1.0
+
 
 class TestConcurrence:
     def test_bell_state(self):
@@ -212,7 +218,9 @@ class TestEntanglementOfFormation:
     def test_product_state(self):
         rho = np.zeros((4, 4))
         rho[2, 2] = 1.0
-        assert entanglement_of_formation(_state(rho)) == 0.0
+        eof = entanglement_of_formation(_state(rho))
+        assert eof == 0.0
+        assert math.copysign(1.0, eof) == 1.0
 
     def test_bell_state(self):
         assert abs(entanglement_of_formation(_state(RHO_BELL)) - 1.0) <= 1e-12
@@ -333,6 +341,10 @@ class TestMeasureSet:
             measure_set(DensityMatrix(bad, (2, 2)))
         assert str(got.value) == str(want.value)
 
+    def test_unvalidated_state_accepts_dims_as_a_list(self):
+        want = measure_set(validate_density(np.eye(4) / 4.0, (2, 2)))
+        assert measure_set(DensityMatrix(np.eye(4) / 4.0, [2, 2])) == want
+
     def test_unvalidated_state_must_factor_its_dims(self):
         with pytest.raises(ValueError, match="does not factor matrix dimension 3"):
             measure_set(DensityMatrix(np.eye(3) / 3.0, (2, 2)))
@@ -424,6 +436,15 @@ class TestMeasureStack:
         spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, alpha=0.6, omega=1.0)
         run_sweep(RunConfig(sweep=spec))
         assert dtypes == dict.fromkeys(("eigh", "eigvalsh", "svd"), {np.dtype(np.float64)})
+
+    def test_empty_stack(self):
+        assert measure_stack(np.zeros((0, 4, 4))).shape == (0, 4)
+
+    def test_zero_measures_are_positive_zeros(self):
+        product = np.diag([0.0, 0.0, 1.0, 0.0])
+        row = measure_stack(np.array([RHO_BELL, product]))[1]
+        assert row.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert np.all(np.copysign(1.0, row) == 1.0)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="stack"):
@@ -565,3 +586,20 @@ class TestMarginalSpectra:
         got = _marginal_spectra(m)
         assert got.shape == (500, 2, 2)
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+
+class TestPartialTransposeGather:
+    @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+    def test_matches_partial_transpose(self, complex_entries):
+        from hawkent.linalg import partial_transpose
+        from hawkent.measures import _PT_ENTRIES
+
+        rng = np.random.default_rng(31 + complex_entries)
+        m = rng.normal(size=(200, 4, 4))
+        if complex_entries:
+            m = m + 1.0j * rng.normal(size=(200, 4, 4))
+        gathered = m.reshape(-1, 16)[:, _PT_ENTRIES]
+        want = partial_transpose(m, (2, 2), "first")
+        assert gathered.dtype == want.dtype
+        assert gathered.shape == want.shape
+        assert np.array_equal(gathered, want)
