@@ -38,15 +38,13 @@ entries, and the partial transpose is a fixed gather of 16 entries.
 Both marginal spectra, the joint spectrum and the EoF pair go through
 one ``x log2 x`` pass.  Real input stays real, so the real pair states
 of the model reach the real LAPACK routines.  A :class:`DensityMatrix`
-takes its eigensystem and runs the density gate once, and every
-single-state measure reads that eigensystem.
+is gated when built; single-state measures read its gate's eigensystem.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,23 +85,29 @@ _SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A density matrix with an explicit bipartition.
+    """A density matrix with an explicit bipartition, gated when built.
 
-    Build instances through :func:`validate_density`; one built
-    directly is gated when a measure first reads it.
+    Holds a read-only copy of any array-like ``matrix``, ``dims`` as
+    ints and the eigensystem the gate took; see :func:`validate_density`.
     """
 
     matrix: np.ndarray
     dims: tuple[int, int]
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = _as_square(self.matrix).copy()
+        m.flags.writeable = False
+        dims = _split_dims(m.shape[0], self.dims)
+        evals, vecs = np.linalg.eigh(m)
+        _check_density(m[None], evals[:1])
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_spectrum", (evals, vecs))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending ``(evals, vecs)`` of the matrix, taken once and gated."""
-        return validate_density(self.matrix, self.dims)._spectrum
 
 
 @dataclass(frozen=True)
@@ -152,13 +156,7 @@ def validate_density(matrix, dims) -> DensityMatrix:
     ValueError
         On any violated requirement, naming the offending quantity.
     """
-    m = _as_square(matrix).copy()
-    m.flags.writeable = False
-    rho = DensityMatrix(matrix=m, dims=_split_dims(m.shape[0], dims))
-    evals, vecs = np.linalg.eigh(m)
-    _check_density(m[None], evals[:1])
-    vars(rho)["_spectrum"] = evals, vecs  # fills the cached property
-    return rho
+    return DensityMatrix(matrix, dims)
 
 
 def binary_entropy(p: float) -> float:
@@ -323,11 +321,11 @@ def one_to_rest_tangle(rho_single) -> float:
     ``det(rho)`` is the product of its two eigenvalues.  For a pure global
     state this equals the tangle between the qubit and everything else.
     """
-    m = rho_single.matrix if isinstance(rho_single, DensityMatrix) else rho_single
-    m = np.asarray(m)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    low, high = validate_density(m, (2, 1))._spectrum[0].tolist()
+    gated = isinstance(rho_single, DensityMatrix)
+    m = rho_single.matrix if gated else rho_single
+    if np.shape(m) != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {np.shape(m)}")
+    low, high = (rho_single if gated else DensityMatrix(m, (2, 1)))._spectrum[0].tolist()
     return min(1.0, max(0.0, 4.0 * low * high))
 
 
@@ -361,12 +359,11 @@ def measure_stack(states) -> np.ndarray:
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """All four pairwise measures of one two-qubit state.
 
-    Reads the eigensystem taken when the state was gated; the four
-    single-state two-qubit measures are fields of this result.  The
-    dims must be the pair ``(2, 2)`` in any integer sequence.
+    Reads the eigensystem taken when the state was built; the four
+    single-state measures are fields of this result.  Dims must be (2, 2).
     """
-    evals, vecs = rho._spectrum
-    if _split_dims(len(evals), rho.dims) != (2, 2):
+    if rho.dims != (2, 2):
         raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
+    evals, vecs = rho._spectrum
     factor = _eigen_factor(evals, vecs)
     return MeasureSet(*_measures(rho.matrix[None], factor[None], evals[None])[0].tolist())

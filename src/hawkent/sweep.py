@@ -115,6 +115,7 @@ class SweepSpec:
             steps = 0
         if steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
+        object.__setattr__(self, "steps", steps)
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.min <= 0.0:

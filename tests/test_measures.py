@@ -308,6 +308,56 @@ def _record_lapack_dtypes(monkeypatch):
     return dtypes
 
 
+def _count_lapack_calls(monkeypatch):
+    """Wrap numpy's eigh, eigvalsh and svd to count their calls."""
+    calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestDensityMatrixIsGatedWhenBuilt:
+    @GATE_FAILURES
+    def test_construction_raises_the_gate_message(self, bad):
+        with pytest.raises(ValueError) as want:
+            validate_density(bad, (2, 2))
+        with pytest.raises(ValueError) as got:
+            DensityMatrix(bad, (2, 2))
+        assert str(got.value) == str(want.value)
+
+    def test_nested_list_measures_like_validate_density(self):
+        nested = RHO_AI.tolist()
+        rho = DensityMatrix(nested, (2, 2))
+        assert rho.dim == 4
+        assert measure_set(rho) == measure_set(validate_density(nested, (2, 2)))
+
+    def test_overwriting_the_callers_array_changes_nothing(self):
+        m = RHO_BELL.copy()
+        rho = DensityMatrix(m, (2, 2))
+        want = measure_set(rho)
+        m[:] = np.eye(4) / 4.0
+        assert measure_set(rho) == want
+        assert want.concurrence > 0.99 and want.min_pt_eigenvalue < -0.49
+
+    @pytest.mark.parametrize("dims", [[2, 2], (np.int64(2), np.int32(2))])
+    def test_holds_a_read_only_matrix_and_int_dims(self, dims):
+        rho = DensityMatrix(np.eye(4) / 4.0, dims)
+        assert rho.dims == (2, 2)
+        assert all(type(d) is int for d in rho.dims)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_tangle_of_a_gated_state_takes_no_lapack_call(self, monkeypatch):
+        rho = validate_density(np.diag([0.3, 0.7]), (2, 1))
+        calls = _count_lapack_calls(monkeypatch)
+        assert abs(one_to_rest_tangle(rho) - 0.84) <= 1e-14
+        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+
 class TestMeasureSet:
     @pytest.mark.parametrize(
         "measure",
@@ -352,13 +402,7 @@ class TestMeasureSet:
     def test_one_spectrum_per_state(self, monkeypatch):
         from hawkent.measures import von_neumann_entropy
 
-        calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = _count_lapack_calls(monkeypatch)
         rho = validate_density(RHO_AI, (2, 2))
         von_neumann_entropy(rho)
         measure_set(rho)

@@ -297,6 +297,16 @@ class TestEmitJson:
         assert config["verify"] is True
         assert config["mass"] is None
 
+    def test_numpy_integer_steps_emit_the_same_bytes(self):
+        texts = []
+        for steps in (3, np.int64(3)):
+            spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=steps, alpha=0.6, omega=1.0)
+            config = _config(spec)
+            out = io.StringIO()
+            emit_json(run_sweep(config), out, config)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+
     def test_config_echo_optional(self):
         payload, _ = self._payload(with_config=False)
         assert payload["config"] is None
