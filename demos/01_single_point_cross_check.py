@@ -3,8 +3,9 @@
 Prepare the three-mode state at alpha^2 = 0.5 and a Hawking
 temperature equal to the mode frequency, then compute every pairwise
 measure twice: once from the closed forms, once through the generic
-spectral pipeline (partial trace of the projector, then
-eigendecompositions).  The two columns agree to machine precision.
+spectral pipeline (each pair state built as ``L L^dagger`` from a factor
+of the amplitudes, then eigendecompositions).  The two columns agree to
+machine precision.
 """
 
 import math

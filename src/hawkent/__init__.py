@@ -2,7 +2,7 @@
 temperature of a Schwarzschild black hole.
 
 The package pairs closed-form expressions for every two-mode measure
-with a generic spectral pipeline (partial trace + eigendecomposition)
+with a spectral pipeline (spectra and SVD of each pair state ``L L^dagger``)
 and cross-checks the two routes wherever numbers are produced.
 """
 

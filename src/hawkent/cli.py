@@ -10,7 +10,8 @@ Each value is range-checked once, by the library: ``check_params``
 for alpha, omega and the temperature, ``hawking_temperature`` for the
 mass, ``SweepSpec`` for the grid.  Every invalid value exits with
 code 2, usage text and the library's message, before any output is
-written.
+written.  Each subcommand's handler returns its text, and ``main``
+writes it once, to ``--out`` or to stdout.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 closed-form
 vs spectral verification failure, 4 output write failure.
@@ -102,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="top of the temperature grid (default: 10)")
     fig.add_argument("--steps", type=int, default=200)
     fig.add_argument("--out", help="output path (default: stdout)")
-    fig.set_defaults(handler=_cmd_figure)
+    fig.set_defaults(handler=lambda a: figure_command(a.which, a.alpha, a.omega, a.t_max, a.steps))
 
     lim = sub.add_parser("limits", help="closed-form values at T = 0 and T -> infinity")
     lim.add_argument("--alpha", type=float, required=True)
-    lim.set_defaults(handler=_cmd_limits)
+    lim.set_defaults(handler=lambda a: limits_command(a.alpha))
 
     return parser
 
@@ -122,22 +123,28 @@ def _fixed_temperature(temperature, mass, required: bool):
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    """Write a command's output to the file ``out``, or to stdout and flush it."""
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # swap in a sink: Python flushes stdout at exit, and a second failure would exit 120
+        sys.stdout = io.StringIO()
+        raise
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> str:
     temperature = _fixed_temperature(args.temperature, args.mass, required=True)
     row = evaluate_point(args.alpha, args.omega, temperature, verify=args.verify == "on")
     lines = [
         f"{name} = {format_number(value)}"
         for name, value in zip(CSV_COLUMNS, row.as_tuple())
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _sweep_config(args) -> RunConfig:
@@ -181,7 +188,7 @@ def parse_args(argv) -> RunConfig:
         parser.error(str(exc))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     config = _sweep_config(args)
     rows = run_sweep(config)
     text = io.StringIO()
@@ -189,8 +196,7 @@ def _cmd_sweep(args) -> int:
         emit_json(rows, text, config)
     else:
         emit_csv(rows, text)
-    _write_text(text.getvalue(), config.out)
-    return EXIT_OK
+    return text.getvalue()
 
 
 def figure_command(
@@ -225,12 +231,6 @@ def figure_command(
     return "\n".join(lines) + "\n"
 
 
-def _cmd_figure(args) -> int:
-    text = figure_command(args.which, args.alpha, args.omega, args.t_max, args.steps)
-    _write_text(text, args.out)
-    return EXIT_OK
-
-
 def limits_command(alpha: float) -> str:
     """Two-column report of the T = 0 and T -> infinity values."""
     report = asymptotic_limits(alpha)
@@ -249,16 +249,11 @@ def limits_command(alpha: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_limits(args) -> int:
-    sys.stdout.write(limits_command(args.alpha))
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        _write_text(args.handler(args), getattr(args, "out", None))
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -267,6 +262,7 @@ def main(argv=None) -> int:
         return EXIT_WRITE
     except ValueError as exc:
         parser.error(str(exc))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "HERMITICITY_ATOL",
     "PSD_ATOL",
-    "hermiticity_defect",
     "partial_trace",
     "partial_transpose",
     "hermitian_eigenvalues",
@@ -74,16 +73,10 @@ def _not_psd(lowest: float) -> ValueError:
     return ValueError(f"matrix is not positive semidefinite: eigenvalue {lowest:.3e}")
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise magnitude of ``a - a^dagger``."""
-    m = _as_square(a)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def _hermitian(a) -> np.ndarray:
     """``a`` as a finite square matrix, Hermitian within ``HERMITICITY_ATOL``, or raise ValueError."""
     m = _as_square(a)
-    defect = hermiticity_defect(m)
+    defect = np.abs(m - m.conj().T).max()
     if defect > HERMITICITY_ATOL:
         raise _not_hermitian(defect)
     return m

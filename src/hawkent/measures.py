@@ -2,7 +2,8 @@
 
 A ``DensityMatrix`` couples a validated matrix to its tensor split, so
 every measure knows which cut it refers to.  All entropic quantities
-are in bits (logarithms base 2).
+are in bits (logarithms base 2).  The closed forms' binary entropies
+take libm's ``log2``, in one kernel; the spectral route takes numpy's.
 
 The concurrence follows the spin-flip construction: with
 ``rho_tilde = (sy x sy) conj(rho) (sy x sy)`` and ``l1 >= ... >= l4``
@@ -159,19 +160,28 @@ def validate_density(matrix, dims) -> DensityMatrix:
     return DensityMatrix(matrix, dims)
 
 
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits of each cell of an ``(N, k)`` block of probabilities in [0, 1].
+
+    Logarithms are libm's ``math.log2`` (numpy's differs in the last bit
+    on some arguments), in the order ``0.0 - p log2 p - q log2 q``; a zero
+    cell takes ``log2(1) = 0``, so its term is ``+0.0``.  There is no clamp.
+    """
+    pq = np.concatenate((p, 1.0 - p))
+    cells = np.where(pq > 0.0, pq, 1.0).ravel().tolist()
+    terms = pq * np.fromiter(map(math.log2, cells), float, len(cells)).reshape(pq.shape)
+    return 0.0 - terms[: len(p)] - terms[len(p) :]
+
+
 def binary_entropy(p: float) -> float:
-    """Shannon entropy of a biased coin, in bits."""
+    """Shannon entropy of a biased coin, in bits: one cell of the closed forms' kernel."""
     if -TRACE_ATOL <= p < 0.0:
         p = 0.0
     elif 1.0 < p <= 1.0 + TRACE_ATOL:
         p = 1.0
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    out = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            out -= q * math.log2(q)
-    return out
+    return float(_binary_entropies(np.array([[p]], float))[0, 0])
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ with the thermal weights ``f- = (exp(-w/T) + 1)^(-1/2)`` and
 
 Every pairwise measure of this family has a closed form in ``alpha``
 and ``w/T``.  The closed forms are exposed alongside the generic
-spectral route (partial trace of the projector, then the measures in
-:mod:`hawkent.measures`), so the two can be cross-checked at any
+spectral route (the measures in :mod:`hawkent.measures` of each pair
+state ``L L^dagger``), so the two can be cross-checked at any
 parameter point; the sweep driver does exactly that in verify mode.
 """
 
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import DensityMatrix, binary_entropy, validate_density
+from .measures import DensityMatrix, _binary_entropies, validate_density
 
 __all__ = [
     "check_params",
@@ -54,19 +54,28 @@ __all__ = [
 ]
 
 
+def _finite(x) -> bool:
+    """``math.isfinite(x)``, and False for a Python int too large to become a float."""
+    # not a bound of the largest float: numpy casts it to float32 input's type, and warns
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def check_params(alpha=None, omega=None, temperature=None) -> None:
     """Range check of the model parameters; a parameter left None is skipped.
 
     ``alpha`` must lie strictly inside (0, 1), ``omega`` must be positive
-    and finite, ``temperature`` non-negative and finite.  Raises
-    ValueError naming the first parameter out of range.  NaN fails
-    every chained comparison, so no separate finiteness test is needed.
+    and finite, ``temperature`` non-negative and finite, where finite
+    means finite as a float.  Raises ValueError naming the first
+    parameter out of range.  NaN fails every comparison.
     """
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if omega is not None and not 0.0 < omega < math.inf:
+    if omega is not None and not (0.0 < omega and _finite(omega)):
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    if temperature is not None and not 0.0 <= temperature < math.inf:
+    if temperature is not None and not (0.0 <= temperature and _finite(temperature)):
         raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
 
 
@@ -137,7 +146,7 @@ class LimitReport:
 
 def hawking_temperature(mass: float) -> float:
     """``T = 1 / (8 pi M)`` in geometric units (G = c = hbar = k = 1)."""
-    if not (math.isfinite(mass) and mass > 0.0):
+    if not (0.0 < mass and _finite(mass)):
         raise ValueError(f"mass must be positive and finite, got {mass!r}")
     temperature = 1.0 / (8.0 * math.pi * mass)
     if not math.isfinite(temperature):
@@ -232,22 +241,6 @@ def pair_states(amplitudes, pair: ModePair) -> np.ndarray:
 def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     """Two-mode state obtained by tracing out the third mode."""
     return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
-
-
-def _binary_entropies(p: np.ndarray) -> np.ndarray:
-    """Binary entropy in bits of each cell of an ``(N, k)`` block of probabilities in [0, 1].
-
-    Bit for bit :func:`~hawkent.measures.binary_entropy` of each cell:
-    the logarithms are libm's ``math.log2`` (numpy's ``log2`` differs in
-    the last bit on some arguments), and the order is
-    ``0.0 - p log2 p - q log2 q``.  A zero cell takes ``log2(1) = 0``,
-    so its term is ``+0.0``, as if skipped.  There is no clamp: the
-    closed forms only pass probabilities inside [0, 1].
-    """
-    pq = np.concatenate((p, 1.0 - p))
-    cells = np.where(pq > 0.0, pq, 1.0).ravel().tolist()
-    terms = pq * np.fromiter(map(math.log2, cells), float, len(cells)).reshape(pq.shape)
-    return 0.0 - terms[: len(p)] - terms[len(p) :]
 
 
 def _closed_table(points) -> tuple[np.ndarray, np.ndarray]:
@@ -366,11 +359,12 @@ def asymptotic_limits(alpha: float) -> LimitReport:
     check_params(alpha=alpha)
     a2 = alpha * alpha
     b2 = 1.0 - a2
+    h_a2, h_half = _binary_entropies(np.array([[a2, a2 / 2.0]], float))[0].tolist()
     zero = LimitValues(
         c_a_i=2.0 * alpha * math.sqrt(b2),
         c_a_ii=0.0,
         c_i_ii=0.0,
-        mi_a_i=2.0 * binary_entropy(a2),
+        mi_a_i=2.0 * h_a2,
         mi_a_ii=0.0,
         mi_i_ii=0.0,
     )
@@ -379,9 +373,9 @@ def asymptotic_limits(alpha: float) -> LimitReport:
         c_a_i=c_hot,
         c_a_ii=c_hot,
         c_i_ii=a2,
-        mi_a_i=binary_entropy(a2),
-        mi_a_ii=binary_entropy(a2),
-        mi_i_ii=2.0 * binary_entropy(a2 / 2.0) - binary_entropy(a2),
+        mi_a_i=h_a2,
+        mi_a_ii=h_a2,
+        mi_i_ii=2.0 * h_half - h_a2,
     )
     return LimitReport(
         alpha=alpha,

@@ -89,7 +89,8 @@ class SweepSpec:
     """One varied parameter on an ascending grid, two held fixed.
 
     The field named by ``vary`` must be None; the other two must carry
-    valid fixed values.
+    valid fixed values.  ``min``, ``max`` and the fixed values are
+    stored as the floats that were checked, and ``steps`` as an int.
     """
 
     vary: str
@@ -107,6 +108,8 @@ class SweepSpec:
         # the grid is ascending and each allowed range an interval, so its ends decide
         check_params(**{self.vary: self.min})
         check_params(**{self.vary: self.max})
+        object.__setattr__(self, "min", float(self.min))
+        object.__setattr__(self, "max", float(self.max))
         if not self.min < self.max:
             raise ValueError(f"need min < max, got [{self.min!r}, {self.max!r}]")
         try:
@@ -129,6 +132,7 @@ class SweepSpec:
             if value is None:
                 raise ValueError(f"fixed parameter {name} is required when varying {self.vary}")
             check_params(**{name: value})
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,7 @@ from hawkent.model import ModePair, _closed_table, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, RunConfig, evaluate_point, format_number
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SWEEP_ARGS = [
     "sweep",
@@ -403,3 +410,54 @@ class TestLimitsCommand:
     def test_cli_matches_library(self, capsys):
         main(["limits", "--alpha", "0.9"])
         assert capsys.readouterr().out == limits_command(0.9)
+
+
+class _FullStdout:
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+class _BufferedFullStdout(io.StringIO):
+    """A buffered stdout on a full device: writes are held, the flush fails."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+WRITE_ARGS = {
+    "measure": ["measure", "--alpha", "0.5", "--omega", "1", "--temperature", "1"],
+    "sweep": SWEEP_ARGS,
+    "figure": ["figure", "2", "--steps", "3"],
+    "limits": ["limits", "--alpha", "0.5"],
+}
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("stdout", [_FullStdout, _BufferedFullStdout])
+    @pytest.mark.parametrize("command", sorted(WRITE_ARGS))
+    def test_stdout_failure_exits_4(self, command, stdout, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", stdout())
+        code = main(WRITE_ARGS[command])
+        assert code == 4
+        assert "write failed" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["measure", "limits"])
+    def test_full_device_exits_4_from_a_process(self, command):
+        # a short output sits in stdout's buffer, and Python flushes it again
+        # at exit; that second failure would make the exit code 120
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hawkent.cli", *WRITE_ARGS[command]],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+            )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("write failed")
+        assert "Exception ignored" not in proc.stderr

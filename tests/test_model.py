@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import hawkent.model
 from hawkent.measures import (
     TRACE_ATOL,
+    _binary_entropies,
+    binary_entropy,
     measure_set,
     mutual_information,
     one_to_rest_tangle,
@@ -33,7 +36,7 @@ from hawkent.model import (
     thermal_factors,
     tripartite_state,
 )
-from hawkent.sweep import RunConfig, SweepSpec, run_sweep
+from hawkent.sweep import RunConfig, SweepSpec, evaluate_point, run_sweep
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SPOT = ModelParams(alpha=INV_SQRT2, omega=1.0, temperature=1.0)
@@ -91,6 +94,10 @@ class TestHawkingTemperature:
 
     def test_tiny_mass_with_finite_temperature(self):
         assert hawking_temperature(1e-300) == 1.0 / (8.0 * math.pi * 1e-300)
+
+    def test_int_mass_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            hawking_temperature(10**400)
 
 
 class TestThermalFactors:
@@ -384,6 +391,20 @@ class TestClosedTable:
         assert len(rows) == 40
         assert len(calls) == 40
 
+    def test_binary_entropy_is_one_cell_of_the_kernel(self):
+        # the scalar function, the table's kernel and the scalar loop it
+        # replaced agree bit for bit, sign of zero included
+        rng = np.random.default_rng(15)
+        ps = [0.0, 1.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, *rng.random(2000).tolist()]
+        cells = _binary_entropies(np.array([ps]))[0]
+        assert np.array_equal(_bits([binary_entropy(p) for p in ps]), _bits(cells))
+        assert np.array_equal(_bits([_ref_binary_entropy(p) for p in ps]), _bits(cells))
+        # rounding dust below 0 and above 1 takes the cells of 0 and 1
+        for dust in (-1e-13, -TRACE_ATOL):
+            assert _bits(binary_entropy(dust)) == _bits(cells[0])
+        for dust in (1.0 + 1e-13, 1.0 + TRACE_ATOL):
+            assert _bits(binary_entropy(dust)) == _bits(cells[1])
+
 
 class TestStructuralIdentities:
     def test_monogamy_centered_on_inertial_mode(self):
@@ -531,6 +552,23 @@ class TestAsymptoticLimits:
             assert abs(closed_form_concurrence(params, ModePair.I_II) - hot.c_i_ii) <= 1e-6
             assert abs(closed_form_mutual_information(params, ModePair.I_II) - hot.mi_i_ii) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.3, INV_SQRT2, 0.9, 1e-300, 1.0 - 1e-16])
+    def test_mutual_informations_match_the_scalar_formulas_bit_for_bit(self, alpha):
+        report = asymptotic_limits(alpha)
+        a2 = alpha * alpha
+        want = [
+            2.0 * _ref_binary_entropy(a2),
+            _ref_binary_entropy(a2),
+            2.0 * _ref_binary_entropy(a2 / 2.0) - _ref_binary_entropy(a2),
+        ]
+        got = [
+            report.zero_temperature.mi_a_i,
+            report.infinite_temperature.mi_a_i,
+            report.infinite_temperature.mi_i_ii,
+        ]
+        assert np.array_equal(_bits(got), _bits(want))
+        assert report.infinite_temperature.mi_a_ii == report.infinite_temperature.mi_a_i
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, math.nan])
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
@@ -566,6 +604,35 @@ class TestModelParamsValidation:
     def test_infinite_parameter_is_named_as_such(self, name, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             check_params(**{name: math.inf})
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("omega", "omega must be positive and finite"),
+            ("temperature", "temperature must be non-negative and finite"),
+        ],
+    )
+    def test_int_beyond_the_float_range_is_a_value_error(self, name, message):
+        # such an int compares below math.inf, but float() of it overflows
+        point = {"alpha": 0.5, "omega": 1.0, "temperature": 1.0, name: 10**400}
+        with pytest.raises(ValueError, match=message):
+            check_params(**{name: 10**400})
+        with pytest.raises(ValueError, match=message):
+            ModelParams(**point)
+        with pytest.raises(ValueError, match=message):
+            evaluate_point(**point)
+
+    def test_largest_float_is_in_range(self):
+        check_params(omega=sys.float_info.max, temperature=sys.float_info.max)
+
+    def test_float32_is_checked_without_a_warning(self):
+        # numpy would cast a bound of the largest float to float32, and overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_params(alpha=np.float32(0.5), omega=np.float32(1.5), temperature=np.float32(0.0))
+            assert hawking_temperature(np.float32(2.0)) > 0.0
+            with pytest.raises(ValueError, match="omega"):
+                check_params(omega=np.float32("inf"))
 
     def test_accepts_boundary_temperature(self):
         assert ModelParams(0.5, 1.0, 0.0).temperature == 0.0

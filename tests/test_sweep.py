@@ -97,11 +97,21 @@ class TestSweepSpecValidation:
             # a NaN end is named as such, not as an ordering error
             (dict(vary="temperature", min=math.nan, max=10.0, steps=3, alpha=0.5, omega=1.0), "finite, got nan"),
             (dict(vary="temperature", min=0.01, max=math.nan, steps=3, alpha=0.5, omega=1.0), "finite, got nan"),
+            # an int beyond the float range is out of range, not an OverflowError later
+            (dict(vary="omega", min=1.0, max=10**400, steps=3, alpha=0.5, temperature=1.0), "omega must"),
+            (dict(vary="temperature", min=0.1, max=1.0, steps=3, alpha=0.5, omega=10**400), "omega must"),
+            (dict(vary="alpha", min=0.1, max=0.9, steps=3, omega=1.0, temperature=10**400), "temperature must"),
         ],
     )
     def test_rejects_bad_spec(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SweepSpec(**kwargs)
+
+    def test_values_are_stored_as_the_floats_checked(self):
+        spec = SweepSpec(vary="temperature", min=np.float32(0.5), max=2, steps=np.int64(3), alpha=0.5, omega=1)
+        assert [type(v) for v in (spec.min, spec.max, spec.alpha, spec.omega)] == [float] * 4
+        assert (spec.min, spec.max, spec.omega, spec.steps) == (float(np.float32(0.5)), 2.0, 1.0, 3)
+        assert spec.temperature is None
 
     def test_run_config_rejects_bad_format(self):
         with pytest.raises(ValueError, match="output_format"):
@@ -301,6 +311,18 @@ class TestEmitJson:
         texts = []
         for steps in (3, np.int64(3)):
             spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=steps, alpha=0.6, omega=1.0)
+            config = _config(spec)
+            out = io.StringIO()
+            emit_json(run_sweep(config), out, config)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+
+    def test_numpy_float_values_emit_the_bytes_of_their_floats(self):
+        given = {"min": np.float32(0.1), "max": np.float32(0.9), "omega": np.float32(1.5), "temperature": np.float32(0.7)}
+        texts = []
+        for values in (given, {name: float(value) for name, value in given.items()}):
+            spec = SweepSpec(vary="alpha", steps=3, **values)
+            assert grid_values(spec).dtype == np.float64
             config = _config(spec)
             out = io.StringIO()
             emit_json(run_sweep(config), out, config)
