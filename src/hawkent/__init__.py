@@ -2,8 +2,9 @@
 temperature of a Schwarzschild black hole.
 
 The package pairs closed-form expressions for every two-mode measure
-with a spectral pipeline (spectra and SVD of each pair state ``L L^dagger``)
-and cross-checks the two routes wherever numbers are produced.
+with a spectral pipeline (symmetric eigenvalue problems on each pair
+state ``L L^dagger``) and cross-checks the two routes wherever numbers
+are produced.
 """
 
 from . import linalg, measures, model, sweep

@@ -12,11 +12,15 @@ the eigenvalues of ``rho @ rho_tilde``,
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).
 
 With any factor ``rho = L L^dagger`` the roots ``sqrt(l_i)`` are the
-singular values of the complex symmetric matrix ``L^T (sy x sy) L``
-(Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62, 032307 (2000)), so
-they are taken from one SVD and never squared and rooted again: an
-absolute rounding error ``d`` in an eigenvalue ``l`` would otherwise
-become ``d / (2 sqrt(l))`` in its root.
+singular values ``s_i`` of the complex symmetric matrix
+``M = L^T (sy x sy) L`` (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
+032307 (2000)).  They are read off the real symmetric embedding
+``H = [[Re M, Im M], [Im M, -Re M]]``: if ``M conj(u) = s u`` with
+``u = x + iy``, then ``H [x; y] = s [x; y]`` and
+``H [-y; x] = -s [-y; x]``, so the eigenvalues of ``H`` are exactly
+``+-s_i`` and the roots are its ``r`` largest.  They are never squared
+and rooted again: an absolute rounding error ``d`` in an eigenvalue
+``l`` would otherwise become ``d / (2 sqrt(l))`` in its root.
 
 Near a rank-deficient state C is only Hölder-1/2 in ``rho``: an
 eigenvalue ``e`` of ``rho`` moves the roots by about ``sqrt(e)``.  The
@@ -27,19 +31,24 @@ zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
 One kernel computes the four measures of a stack of states from the
-states, any factor ``L`` of each and each joint spectrum (numpy's
-linalg broadcasts, so a stack costs two LAPACK calls: the concurrence
-``svd`` and the partial-transpose ``eigvalsh``).  :func:`measure_stack`
-feeds it ``V sqrt(e)`` and ``e`` from one ``eigh`` of the stack, three
-LAPACK calls in all.  A verified sweep feeds it the 4x2 factor that
-the amplitudes of its pure three-mode state already are, and the
-closed-form spectrum of the 2x2 Gram matrix ``L^dagger L``, so it makes
-two.  The one-qubit marginal spectra are closed forms of the 2x2
-entries, and the partial transpose is a fixed gather of 16 entries.
-Both marginal spectra, the joint spectrum and the EoF pair go through
-one ``x log2 x`` pass.  Real input stays real, so the real pair states
-of the model reach the real LAPACK routines.  A :class:`DensityMatrix`
-is gated when built; single-state measures read its gate's eigensystem.
+states, any factor ``L`` of each, each joint spectrum and both
+marginal spectra.  numpy's linalg broadcasts, so the kernel takes the
+``eigvalsh`` of the embeddings ``H`` and of the partial transposes on
+the whole stack; when the two have the same size the two problems go
+to LAPACK as one stacked call.  :func:`measure_stack` feeds it
+``V sqrt(e)`` and ``e`` from one ``eigh`` of the stack, so ``H`` is 8x8
+and the stack costs three LAPACK calls: ``eigh`` and two ``eigvalsh``.
+A verified sweep feeds it the 4x2 factor that the amplitudes of its
+pure three-mode state already are, and the closed-form spectrum of the
+2x2 Gram matrix ``L^dagger L``; its ``H`` is 4x4 like the partial
+transposes, so it makes one LAPACK call.  The one-qubit marginal
+spectra are closed forms of the 2x2 entries, and the partial transpose
+is a fixed gather of 16 entries.  Both marginal spectra, the joint
+spectrum and the EoF pair go through one ``x log2 x`` pass.  Real
+input stays real, so the real pair states of the model reach the real
+LAPACK routines, and ``H`` is real for every input.  A
+:class:`DensityMatrix` is gated when built; single-state measures read
+its gate's eigensystem.
 """
 
 from __future__ import annotations
@@ -127,14 +136,21 @@ def _check_density(m: np.ndarray, lowest: np.ndarray) -> None:
     ``lowest`` holds the smallest eigenvalue of each state.  The first
     state that is not Hermitian within 1e-12, not of unit trace within
     1e-12 or has an eigenvalue below -1e-10 raises the ValueError that
-    :func:`validate_density` gives for it.
+    :func:`validate_density` gives for it.  Pass or fail is decided on
+    the maxima over the whole stack; the defect of each state is taken
+    only when some state fails.
     """
     k, d = m.shape[:2]
-    defect = np.abs(m - m.swapaxes(-1, -2).conj()).reshape(k, d * d).max(axis=1)
+    defect = np.abs(m - m.swapaxes(-1, -2).conj())
     trace = m.reshape(k, d * d)[:, :: d + 1].sum(axis=1)
-    bad = (defect > HERMITICITY_ATOL) | (np.abs(trace - 1.0) > TRACE_ATOL) | (lowest < -PSD_ATOL)
-    if not bad.any():
+    if (
+        defect.max(initial=0.0) <= HERMITICITY_ATOL
+        and np.abs(trace - 1.0).max(initial=0.0) <= TRACE_ATOL
+        and lowest.min(initial=0.0) >= -PSD_ATOL
+    ):
         return
+    defect = defect.reshape(k, d * d).max(axis=1)
+    bad = (defect > HERMITICITY_ATOL) | (np.abs(trace - 1.0) > TRACE_ATOL) | (lowest < -PSD_ATOL)
     first = bad.argmax()
     if defect[first] > HERMITICITY_ATOL:
         raise _not_hermitian(defect[first])
@@ -204,58 +220,95 @@ def _eigen_factor(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(evals * kept)[..., None, :]
 
 
-def _two_level_spectra(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _two_level_spectra(entries: np.ndarray) -> np.ndarray:
     """Ascending spectra ``(..., 2)`` of the Hermitian ``[[a, b], [b*, c]]``.
 
-    The larger eigenvalue is ``(a + c) / 2 + hypot((a - c) / 2, |b|)``;
-    the smaller is taken as ``(a c - |b|^2)`` over it rather than as the
+    ``entries`` holds ``(a, c, b)`` along its last axis.  The larger
+    eigenvalue is ``(a + c) / 2 + hypot((a - c) / 2, |b|)``; the smaller
+    is taken as ``(a c - |b|^2)`` over it rather than as the
     difference, which cancels when the matrix is near rank one.
     """
-    a, c, b = a.real, c.real, np.abs(b)
+    a, c, b = entries[..., 0].real, entries[..., 1].real, np.abs(entries[..., 2])
     out = np.empty((*a.shape, 2))
     high = np.add((a + c) / 2.0, np.hypot((a - c) / 2.0, b), out=out[..., 1])
     np.divide(a * c - b * b, high, out=out[..., 0])
     return out
 
 
-# Flat ``row * 4 + col`` entries of a two-qubit state summed into ``a``, ``c``
-# and ``b`` of its marginal ``[[a, b], [b*, c]]``: first qubit kept, then second.
-_MARGINAL_ENTRIES = np.array([[[0, 5], [10, 15], [2, 7]], [[0, 10], [5, 15], [1, 11]]])
+# Flat ``row * 4 + col`` entries of a two-qubit state whose pair sums are ``a``,
+# ``c`` and ``b`` of its marginals ``[[a, b], [b*, c]]``, first qubit kept, then
+# second: the first terms of each sum, then the second terms.
+_MARGINAL_TERMS = np.array([[[0, 10, 2], [0, 5, 1]], [[5, 15, 7], [10, 15, 11]]])
 
 # Flat entries of a two-qubit state that form its partial transpose on the
 # first qubit: entry ``(i1 i2, j1 j2)`` is read from ``(j1 i2, i1 j2)``.
 _PT_ENTRIES = np.arange(16).reshape(2, 2, 2, 2).swapaxes(0, 2).reshape(4, 4)
 
 
+def _marginal_entries(m: np.ndarray) -> np.ndarray:
+    """Entries ``(a, c, b)`` of both one-qubit marginals of ``(K, 4, 4)`` states, ``(K, 2, 3)``."""
+    flat = m.reshape(-1, 16)
+    return flat[:, _MARGINAL_TERMS[0]] + flat[:, _MARGINAL_TERMS[1]]
+
+
 def _marginal_spectra(m: np.ndarray) -> np.ndarray:
     """Ascending spectra ``(K, 2, 2)`` of both one-qubit marginals of ``(K, 4, 4)`` states."""
-    entries = m.reshape(-1, 16)[:, _MARGINAL_ENTRIES].sum(axis=-1)
-    return _two_level_spectra(*entries.transpose(2, 0, 1))
+    return _two_level_spectra(_marginal_entries(m))
 
 
-def _measures(m: np.ndarray, factor: np.ndarray, joint: np.ndarray) -> np.ndarray:
+def _spin_flip_embedding(factor: np.ndarray) -> np.ndarray:
+    """The real symmetric ``(K, 2r, 2r)`` embeddings of a ``(K, 4, r)`` factor stack.
+
+    Each is ``[[Re M, Im M], [Im M, -Re M]]`` for ``M = L^T (sy x sy) L``,
+    and its eigenvalues are ``+-`` the singular values of ``M`` (see the
+    module docstring).
+    """
+    k, r = factor.shape[0], factor.shape[-1]
+    flipped = (_SPIN_FLIP_SIGNS * factor[:, ::-1]).swapaxes(-1, -2) @ factor
+    embedding = np.empty((k, 2 * r, 2 * r))
+    embedding[:, :r, :r] = flipped.real
+    np.negative(flipped.real, out=embedding[:, r:, r:])
+    embedding[:, :r, r:] = embedding[:, r:, :r] = flipped.imag
+    return embedding
+
+
+def _measures(
+    m: np.ndarray, factor: np.ndarray, joint: np.ndarray, marginals: np.ndarray
+) -> np.ndarray:
     """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states.
 
-    ``factor`` is any ``(K, 4, r)`` stack with ``m = L L^dagger``, and
+    ``factor`` is any ``(K, 4, r)`` stack with ``m = L L^dagger``,
     ``joint`` the ascending nonzero spectrum of each state (zeros may be
-    left out: they add nothing to the entropy).  The concurrence roots
-    are the singular values of the ``(K, r, r)`` matrices
-    ``L^T (sy x sy) L``, largest first.  Each state's probabilities
-    (both marginal spectra, the EoF pair ``p, 1 - p`` and the joint
-    spectrum) form one row of a block that takes one ``x log2 x`` pass;
-    entropies are ``0.0 - sum``, so a zero entropy is ``+0.0``.
+    left out: they add nothing to the entropy) and ``marginals`` the
+    ``(K, 2, 2)`` spectra of :func:`_marginal_spectra`.  The concurrence
+    roots are the ``r`` largest eigenvalues of the real symmetric
+    ``(K, 2r, 2r)`` embeddings ``H`` of ``M = L^T (sy x sy) L`` (see the
+    module docstring).  When ``H`` is 4x4, the size of the partial
+    transposes, both stacks go to one ``eigvalsh``; otherwise each takes
+    one.  Each state's probabilities (both marginal spectra, the EoF
+    pair ``p, 1 - p`` and the joint spectrum) form one row of a block
+    that takes one ``x log2 x`` pass; entropies are ``0.0 - sum``, so a
+    zero entropy is ``+0.0``, and so is a zero concurrence.
     """
     k, r = joint.shape
     out = np.empty((k, 4))
-    spin_flipped = _SPIN_FLIP_SIGNS * factor[:, ::-1]
-    roots = np.linalg.svd(spin_flipped.swapaxes(-1, -2) @ factor, compute_uv=False)
-    c = np.maximum(0.0, roots[:, 0] - roots[:, 1:].sum(axis=-1), out=out[:, 0])
     p = np.empty((k, 6 + r))
-    p[:, :4] = _marginal_spectra(m).reshape(k, 4)
+    p[:, :4] = marginals.reshape(k, 4)
     lowest = p[:, 0:4:2]
     bad = lowest < -PSD_ATOL
     if bad.any():
         raise _not_psd(lowest[bad][0])
+    embedding = _spin_flip_embedding(factor)
+    transposed = m.reshape(k, 16)[:, _PT_ENTRIES]
+    if embedding.shape == transposed.shape:
+        spectra = np.linalg.eigvalsh(np.concatenate((embedding, transposed)))
+        roots, transposed_spectra = spectra[:k, r:], spectra[k:]
+    else:
+        roots = np.linalg.eigvalsh(embedding)[:, r:]
+        transposed_spectra = np.linalg.eigvalsh(transposed)
+    # roots ascend; adding 0.0 folds a -0.0 concurrence into +0.0
+    c = np.maximum(0.0, roots[:, -1] - roots[:, :-1].sum(axis=-1), out=out[:, 0])
+    c += 0.0
     p[:, 4] = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
     p[:, 5] = 1.0 - p[:, 4]
     p[:, 6:] = joint
@@ -264,7 +317,7 @@ def _measures(m: np.ndarray, factor: np.ndarray, joint: np.ndarray) -> np.ndarra
     pairs = h[:, 0:6:2] + h[:, 1:6:2]
     np.subtract(0.0, pairs[:, 2], out=out[:, 1])
     np.subtract(h[:, 6:].sum(axis=1), pairs[:, 0] + pairs[:, 1], out=out[:, 2])
-    out[:, 3] = np.linalg.eigvalsh(m.reshape(k, 16)[:, _PT_ENTRIES])[:, 0]
+    out[:, 3] = transposed_spectra[:, 0]
     return out
 
 
@@ -275,26 +328,31 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     kept pair indexing the rows and the traced-out qubit the columns,
     so ``L L^dagger`` is that pair's reduced state.  By the Schmidt
     decomposition its nonzero spectrum is that of the 2x2 Gram matrix
-    ``L^dagger L``, taken in closed form, and the concurrence needs the
-    SVD of 2x2 matrices only (Coffman, Kundu and Wootters, PRA 61,
-    052306 (2000)).  The built states pass the Hermiticity and trace
-    gates of :func:`validate_density`.  Positivity holds by
-    construction: the rest of the spectrum is exactly zero, so the
-    lowest eigenvalue is ``min(0, gram_low)``.
+    ``L^dagger L``, taken in closed form together with both marginal
+    spectra, and the concurrence embedding ``H`` is 4x4, so the whole
+    stack makes one LAPACK call, an ``eigvalsh`` of ``2K`` 4x4 matrices
+    (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  The built
+    states pass the Hermiticity and trace gates of
+    :func:`validate_density`.  Positivity holds by construction: the
+    rest of the spectrum is exactly zero, so the lowest eigenvalue is
+    ``min(0, gram_low)``.
     """
     m = factors @ factors.conj().swapaxes(-1, -2)
-    gram = factors.conj().swapaxes(-1, -2) @ factors
-    joint = _two_level_spectra(gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1])
+    gram = (factors.conj().swapaxes(-1, -2) @ factors).reshape(-1, 1, 4)[..., [0, 3, 1]]
+    spectra = _two_level_spectra(np.concatenate((gram, _marginal_entries(m)), axis=1))
+    joint = spectra[:, 0]
     _check_density(m, np.minimum(joint[:, 0], 0.0))
-    return _measures(m, factors, joint)
+    return _measures(m, factors, joint, spectra[:, 1:])
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
     The roots ``sqrt(l_i)`` are the singular values of
-    ``L^T (sy x sy) L`` for the factor ``L = V diag(sqrt(e))`` of
-    ``rho = V diag(e) V^dagger``.  Eigenvalues ``e`` below
+    ``M = L^T (sy x sy) L`` for the factor ``L = V diag(sqrt(e))`` of
+    ``rho = V diag(e) V^dagger``, read off as the four largest
+    eigenvalues of the real symmetric 8x8 ``[[Re M, Im M], [Im M, -Re M]]``,
+    whose spectrum is exactly ``+-sqrt(l_i)``.  Eigenvalues ``e`` below
     ``16 eps max(e)``, negative dust included, count as exact zeros:
     each enters the roots as ``sqrt(e)``, so rounding dust of ``eps``
     would shift C by about ``sqrt(eps)``.
@@ -350,12 +408,16 @@ def measure_stack(states) -> np.ndarray:
     gated.
 
     One ``eigh`` per state feeds the positivity gate, the joint entropy
-    and the concurrence factor ``V sqrt(e)``; the concurrence SVD and
-    the partial-transpose spectra are one call each on the whole stack,
-    three LAPACK calls in all, and the marginal spectra are closed forms
-    with no LAPACK call.  (A verified sweep skips the ``eigh``: it reads
-    the factor off the amplitudes of its pure state.)  A real stack is
-    computed in ``float64`` throughout, anything else in ``complex128``.
+    and the concurrence factor ``V sqrt(e)``; the spectra of the 8x8
+    concurrence embeddings and of the 4x4 partial transposes are one
+    ``eigvalsh`` each on the whole stack, three LAPACK calls in all, and
+    the marginal spectra are closed forms with no LAPACK call.  (A
+    verified sweep skips the ``eigh``: it reads a 4x2 factor off the
+    amplitudes of its pure state, so its embeddings are 4x4 and share
+    one ``eigvalsh`` with the partial transposes.)  A real stack is
+    computed in ``float64`` throughout.  A complex stack takes its
+    ``eigh`` and partial transposes in ``complex128``; the embeddings
+    are real for every input.
     """
     m = np.asarray(states)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
@@ -363,7 +425,7 @@ def measure_stack(states) -> np.ndarray:
     m = _as_square_stack(m)
     evals, vecs = np.linalg.eigh(m)
     _check_density(m, evals[:, 0])
-    return _measures(m, _eigen_factor(evals, vecs), evals)
+    return _measures(m, _eigen_factor(evals, vecs), evals, _marginal_spectra(m))
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
@@ -375,5 +437,6 @@ def measure_set(rho: DensityMatrix) -> MeasureSet:
     if rho.dims != (2, 2):
         raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
     evals, vecs = rho._spectrum
-    factor = _eigen_factor(evals, vecs)
-    return MeasureSet(*_measures(rho.matrix[None], factor[None], evals[None])[0].tolist())
+    m = rho.matrix[None]
+    factor = _eigen_factor(evals, vecs)[None]
+    return MeasureSet(*_measures(m, factor, evals[None], _marginal_spectra(m))[0].tolist())

@@ -148,7 +148,13 @@ def hawking_temperature(mass: float) -> float:
     """``T = 1 / (8 pi M)`` in geometric units (G = c = hbar = k = 1)."""
     if not (0.0 < mass and _finite(mass)):
         raise ValueError(f"mass must be positive and finite, got {mass!r}")
-    temperature = 1.0 / (8.0 * math.pi * mass)
+    denominator = 8.0 * math.pi * mass
+    # past about 1.4e306 the product overflows; the reordered form keeps T
+    # nonzero there, and is taken only there because it rounds differently
+    if math.isfinite(denominator):
+        temperature = 1.0 / denominator
+    else:
+        temperature = 1.0 / (8.0 * math.pi) / mass
     if not math.isfinite(temperature):
         raise ValueError(f"mass {mass!r} is too small: its Hawking temperature overflows")
     return temperature
@@ -195,19 +201,19 @@ def _weight_columns(points) -> np.ndarray:
     return np.fromiter(cells, float, 8 * len(columns)).reshape(-1, 8)
 
 
-def _amplitudes(weights: np.ndarray) -> np.ndarray:
-    """``(N, 8)`` amplitude vectors of the points of a :func:`_weight_columns` block."""
-    alpha = weights[:, 0]
-    amplitudes = np.zeros((len(weights), 8))
-    amplitudes[:, 0] = alpha * weights[:, 3]  # |000>
-    amplitudes[:, 3] = alpha * weights[:, 4]  # |011>
-    amplitudes[:, 6] = np.sqrt(1.0 - weights[:, 5])  # |110>
+def _amplitudes(alpha, f_minus, f_plus, alpha_squared) -> np.ndarray:
+    """``(N, 8)`` amplitude vectors from ``(N,)`` columns of alpha, f-, f+ and alpha^2."""
+    amplitudes = np.zeros((len(alpha), 8))
+    amplitudes[:, 0] = alpha * f_minus  # |000>
+    amplitudes[:, 3] = alpha * f_plus  # |011>
+    amplitudes[:, 6] = np.sqrt(1.0 - alpha_squared)  # |110>
     return amplitudes
 
 
 def tripartite_state(params: ModelParams) -> np.ndarray:
     """Amplitude vector of ``|psi>`` in the ``4m + 2n + p`` basis."""
-    return _amplitudes(_weight_columns([(params.alpha, params.omega, params.temperature)]))[0]
+    weights = _weight_columns([(params.alpha, params.omega, params.temperature)])
+    return _amplitudes(*weights[:, [0, 3, 4, 5]].T)[0]
 
 
 # Basis index ``4m + 2n + p`` of each entry of the A_I, A_II and I_II factors:
@@ -243,14 +249,13 @@ def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
 
 
-def _closed_table(points) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep rows and amplitudes of checked ``(alpha, omega, T)`` points.
+def _closed_table(points) -> np.ndarray:
+    """Sweep rows of checked ``(alpha, omega, T)`` points.
 
     Returns the ``(N, 15)`` table of rows in the order of the sweep's
     CSV columns, each point followed by the twelve closed forms of
-    :func:`closed_forms`, and the ``(N, 8)`` amplitudes of
-    :func:`tripartite_state`, both from one :func:`_weight_columns`
-    pass.  Each closed form is one numpy expression over the columns.
+    :func:`closed_forms`, from one :func:`_weight_columns` pass.  Each
+    closed form is one numpy expression over the columns.
     numpy runs only ``+ - * /`` and ``sqrt``, which are correctly
     rounded, in the order of operations of the scalar formulas, so a
     point's cells have the same bits whatever the batch around it.
@@ -287,7 +292,7 @@ def _closed_table(points) -> tuple[np.ndarray, np.ndarray]:
     cc4[:, :2] = (4.0 * a2 * b2)[:, None] * f2
     cc4[:, 2] = 4.0 * a2 * a2 * fm2 * fp2
     table[:, 12:] = 0.5 * (d - np.sqrt(d * d + cc4))
-    return table, _amplitudes(weights)
+    return table
 
 
 def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float, ...]:
@@ -319,7 +324,7 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     ``d`` to the coherence ``c`` moved off-axis by the transpose, giving
     the block eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
     """
-    return tuple(_closed_table([(alpha, omega, temperature)])[0][0, 3:].tolist())
+    return tuple(_closed_table([(alpha, omega, temperature)])[0, 3:].tolist())
 
 
 def _closed_form(measure: int, params: ModelParams, pair: ModePair) -> float:

@@ -6,17 +6,20 @@ evaluated as one table: one Python pass takes the thermal weights of
 every point, each closed form is then one numpy expression over the
 ``(N,)`` columns, and the rows are read off the ``(N, 15)`` table.  The
 cells have the bits of :func:`~hawkent.model.closed_forms` at each
-point, whatever the grid around it.  In verify mode the same pass
-gives every point's amplitudes, and reshaped they give each pair's 4x2
+point, whatever the grid around it.  In verify mode the check builds
+every point's amplitudes from the table's ``(alpha, omega, T)`` columns
+alone, on its own path to the thermal weights (see
+:func:`_check_amplitudes`), and reshaped they give each pair's 4x2
 factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 :mod:`hawkent.measures` measures all ``3N`` pair states from those
-factors at once, in two LAPACK calls and with no eigensolver on the
+factors at once, in one LAPACK call and with no eigensolver on the
 4x4 states, and compares them with the table's ``(N, 3, 4)`` view of
 the closed forms.  The run aborts on the first disagreement beyond
 1e-9 in grid order (a NaN on either side is a disagreement), so
-emitted numbers are never untested.  The spectral route never reads a
-closed-form value, and the emitted values are the closed forms either
-way.
+emitted numbers are never untested: neither the closed-form algebra
+nor the thermal weights it starts from.  The spectral route never
+reads a closed-form value or weight, and the emitted values are the
+closed forms either way.
 
 Emission formats every cell once.  One line template renders a row's
 fifteen cells with 12 significant digits (``-0.0`` printed as ``0.0``)
@@ -38,7 +41,7 @@ from typing import IO
 import numpy as np
 
 from .measures import _factor_measures
-from .model import ModePair, _closed_table, _pair_factors, check_params
+from .model import ModePair, _amplitudes, _closed_table, _pair_factors, check_params
 
 __all__ = [
     "CSV_COLUMNS",
@@ -193,16 +196,32 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.min, spec.max, spec.steps)
 
 
-def _verify(table: np.ndarray, amplitudes: np.ndarray) -> None:
+def _check_amplitudes(table: np.ndarray) -> np.ndarray:
+    """``(N, 8)`` amplitudes of the points of ``(N, 15)`` rows, built apart from the table.
+
+    Each point's thermal weights come from the Bogoliubov angle of the
+    Unruh-mode vacuum, ``r = atan(exp(-w / (2T)))``, as ``f- = cos r``
+    and ``f+ = sin r``, computed in numpy over the ``(alpha, omega, T)``
+    columns: a different path from the libm weights of the closed
+    forms.  At T = 0, ``w / (2T)`` is ``inf``, so ``r`` is exactly 0.
+    """
+    alpha, omega, temperature = table[:, :3].T
+    with np.errstate(divide="ignore", over="ignore"):
+        angle = np.arctan(np.exp(-omega / (2.0 * temperature)))
+    return _amplitudes(alpha, np.cos(angle), np.sin(angle), alpha * alpha)
+
+
+def _verify(table: np.ndarray) -> None:
     """Recompute every row through the spectral route and compare.
 
-    ``table`` and ``amplitudes`` are the ``(N, 15)`` rows and ``(N, 8)``
-    amplitudes of the same points.  Raises :class:`VerificationError`
-    for the first (point, pair, measure), in grid order, whose
-    closed-form and spectral values differ by more than ``VERIFY_ATOL``.
+    ``table`` holds the ``(N, 15)`` rows; the spectral side reads only
+    their ``(alpha, omega, T)`` (see :func:`_check_amplitudes`).  Raises
+    :class:`VerificationError` for the first (point, pair, measure), in
+    grid order, whose closed-form and spectral values differ by more
+    than ``VERIFY_ATOL``.
     """
     n = len(table)
-    factors = _pair_factors(amplitudes).reshape(-1, 4, 2)
+    factors = _pair_factors(_check_amplitudes(table)).reshape(-1, 4, 2)
     spectral = _factor_measures(factors).reshape(n, len(_PAIRS), 4)
     # CSV columns after the parameters run measure by measure, pair by pair
     closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)
@@ -220,9 +239,9 @@ def _verify(table: np.ndarray, amplitudes: np.ndarray) -> None:
 
 def _rows(points, verify: bool) -> list[SweepRow]:
     """The rows of checked points from one table, cross-checked if ``verify``."""
-    table, amplitudes = _closed_table(points)
+    table = _closed_table(points)
     if verify:
-        _verify(table, amplitudes)
+        _verify(table)
     return list(map(SweepRow._make, table.tolist()))
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hawkent.model
 from hawkent.cli import figure_command, limits_command, main, parse_args
 from hawkent.model import ModePair, _closed_table, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, RunConfig, evaluate_point, format_number
@@ -284,15 +285,32 @@ class TestSweepCommand:
 
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         def skewed(points):
-            table, amplitudes = _closed_table(points)
+            table = _closed_table(points)
             table[:, 3:6] += 1e-6
-            return table, amplitudes
+            return table
 
         monkeypatch.setattr("hawkent.sweep._closed_table", skewed)
         code = main(SWEEP_ARGS)
         captured = capsys.readouterr()
         assert code == 3
         assert "verification failed" in captured.err
+
+    @pytest.mark.parametrize("mutation", ["doubled_ratio", "swapped"])
+    def test_wrong_thermal_weights_make_figure_2_exit_3(self, capsys, monkeypatch, mutation):
+        weights = hawkent.model._weights
+        if mutation == "doubled_ratio":
+            def wrong(omega, temperature):
+                return weights(2.0 * omega, temperature)
+        else:
+            def wrong(omega, temperature):
+                return weights(omega, temperature)[::-1]
+
+        monkeypatch.setattr("hawkent.model._weights", wrong)
+        code = main(["figure", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "verification failed" in captured.err
+        assert captured.out == ""
 
     def test_write_failure_exits_4(self, capsys, tmp_path):
         target = tmp_path / "missing" / "rows.csv"

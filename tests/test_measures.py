@@ -297,11 +297,12 @@ MARGINAL_BELOW_GATE = np.diag([1.0 + 1.8e-10, 0.0, -0.9e-10, -0.9e-10])
 
 
 def _record_lapack_dtypes(monkeypatch):
-    """Wrap numpy's eigh, eigvalsh and svd to record the dtypes they are handed."""
+    """Wrap numpy's eigh, eigvalsh and svd to record the dtype and size of each matrix handed in."""
     dtypes = {}
     for name in ("eigh", "eigvalsh", "svd"):
         def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            dtypes.setdefault(_name, set()).add(np.asarray(a).dtype)
+            a = np.asarray(a)
+            dtypes.setdefault(_name, set()).add((a.dtype, a.shape[-1]))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
@@ -407,9 +408,9 @@ class TestMeasureSet:
         von_neumann_entropy(rho)
         measure_set(rho)
         # one eigh for the gate, the joint entropy and the concurrence factor;
-        # one eigvalsh for the partial transpose; the 2x2 marginal spectra
-        # are closed forms
-        assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}
+        # one eigvalsh for the 8x8 concurrence embedding and one for the 4x4
+        # partial transpose; the 2x2 marginal spectra are closed forms
+        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 0}
 
 
 class TestMeasureStack:
@@ -467,7 +468,10 @@ class TestMeasureStack:
         assert rho.matrix.dtype == np.complex128
         measure_set(rho)
         measure_stack(rho.matrix[None])
-        assert dtypes == dict.fromkeys(("eigh", "eigvalsh", "svd"), {np.dtype(np.complex128)})
+        # the state and its partial transpose stay complex; the concurrence
+        # embedding is real symmetric for every input
+        complex128, float64 = np.dtype(np.complex128), np.dtype(np.float64)
+        assert dtypes == {"eigh": {(complex128, 4)}, "eigvalsh": {(float64, 8), (complex128, 4)}}
 
     def test_real_state_is_computed_in_real(self, monkeypatch):
         from hawkent.sweep import RunConfig, SweepSpec, run_sweep
@@ -476,10 +480,12 @@ class TestMeasureStack:
         rho = validate_density(RHO_AI, (2, 2))
         assert rho.matrix.dtype == np.float64
         measure_set(rho)
-        # a verified sweep's pair states are real symmetric
+        # a verified sweep's pair states are real symmetric, and its 4x4
+        # embeddings share one eigvalsh with the partial transposes
         spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, alpha=0.6, omega=1.0)
         run_sweep(RunConfig(sweep=spec))
-        assert dtypes == dict.fromkeys(("eigh", "eigvalsh", "svd"), {np.dtype(np.float64)})
+        float64 = np.dtype(np.float64)
+        assert dtypes == {"eigh": {(float64, 4)}, "eigvalsh": {(float64, 8), (float64, 4)}}
 
     def test_empty_stack(self):
         assert measure_stack(np.zeros((0, 4, 4))).shape == (0, 4)
@@ -565,13 +571,16 @@ class TestFactorRoute:
 
     def test_model_grid(self):
         from hawkent.model import _closed_table
+        from hawkent.sweep import _check_amplitudes
 
         points = [
             (alpha, 1.0, temperature)
             for alpha in np.linspace(0.01, 0.99, 25).tolist()
             for temperature in [0.0, *np.geomspace(1e-3, 1e3, 41).tolist()]
         ]
-        assert np.all(self._gaps(_closed_table(points)[1]) <= FACTOR_ROUTE_BOUNDS)
+        # the amplitudes a verified sweep builds for its check
+        amplitudes = _check_amplitudes(_closed_table(points))
+        assert np.all(self._gaps(amplitudes) <= FACTOR_ROUTE_BOUNDS)
 
     def test_ghz_orbit_has_unentangled_pairs(self):
         # local unitaries keep every pair of GHZ at C = 0 with both concurrence
@@ -608,6 +617,32 @@ class TestFactorRoute:
             assert np.abs(pair_states(psi, pair) - want).max() <= 1e-15
             rho = factors[:, k] @ factors[:, k].conj().swapaxes(-1, -2)
             assert np.abs(rho - want).max() <= 1e-15
+
+
+class TestSpinFlipEmbedding:
+    """The concurrence roots are the top eigenvalues of the real symmetric embedding."""
+
+    @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_top_eigenvalues_are_the_singular_values(self, complex_entries, rank):
+        from hawkent.measures import _spin_flip_embedding
+
+        rng = np.random.default_rng(100 * rank + complex_entries)
+        factor = rng.normal(size=(2000, 4, rank))
+        if complex_entries:
+            factor = factor + 1.0j * rng.normal(size=(2000, 4, rank))
+        factor *= np.exp(rng.uniform(-20.0, 20.0, size=(2000, 1, 1)))
+        sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        # M = L^T (sy x sy) L is complex symmetric, and real symmetric for real L
+        m = factor.swapaxes(-1, -2) @ np.kron(sy, sy).real @ factor
+        singular = np.linalg.svd(m, compute_uv=False)
+        spectrum = np.linalg.eigvalsh(_spin_flip_embedding(factor))
+        assert spectrum.shape == (2000, 2 * rank)
+        # the whole spectrum is +-s, the r largest eigenvalues the roots;
+        # 7.7 eps of the largest was the widest gap measured here
+        bound = 16 * np.finfo(float).eps * singular[:, :1]
+        assert np.all(np.abs(spectrum[:, ::-1][:, :rank] - singular) <= bound)
+        assert np.all(np.abs(spectrum[:, :rank] + singular) <= bound)
 
 
 class TestMarginalSpectra:

@@ -20,7 +20,9 @@ from hawkent.measures import (
     von_neumann_entropy,
 )
 from hawkent.model import (
+    _amplitudes,
     _closed_table,
+    _weight_columns,
     LimitReport,
     ModelParams,
     ModePair,
@@ -94,6 +96,21 @@ class TestHawkingTemperature:
 
     def test_tiny_mass_with_finite_temperature(self):
         assert hawking_temperature(1e-300) == 1.0 / (8.0 * math.pi * 1e-300)
+
+    @pytest.mark.parametrize("mass", [1e300, 1e307, 1e308, 1.7e308])
+    def test_huge_mass_keeps_a_nonzero_temperature(self, mass):
+        temperature = hawking_temperature(mass)
+        assert temperature > 0.0
+        # the product T M does not overflow; below 2.2e-308 T is subnormal,
+        # with about 45 bits left at 1.7e308
+        assert math.isclose(temperature * mass, 1.0 / (8.0 * math.pi), rel_tol=1e-13)
+        if not math.isfinite(8.0 * math.pi * mass):
+            assert temperature == 1.0 / (8.0 * math.pi) / mass
+
+    def test_ordinary_masses_keep_their_bits(self):
+        masses = np.exp(np.random.default_rng(16).uniform(math.log(1e-3), math.log(1e3), 2000))
+        for mass in masses.tolist():
+            assert hawking_temperature(mass) == 1.0 / (8.0 * math.pi * mass)
 
     def test_int_mass_beyond_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="mass must be positive and finite"):
@@ -345,15 +362,20 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _state_amplitudes(points):
+    """The amplitudes of ``tripartite_state`` at many points, from one weight pass."""
+    return _amplitudes(*_weight_columns(points)[:, [0, 3, 4, 5]].T)
+
+
 class TestClosedTable:
     def test_rows_match_the_scalar_formulas_bit_for_bit(self):
-        table, _ = _closed_table(TABLE_POINTS)
+        table = _closed_table(TABLE_POINTS)
         reference = [_ref_row(*point) for point in TABLE_POINTS]
         assert table.shape == (len(TABLE_POINTS), 15)
         assert np.array_equal(_bits(table), _bits(reference))
 
     def test_amplitudes_match_the_scalar_formulas_bit_for_bit(self):
-        _, amplitudes = _closed_table(TABLE_POINTS)
+        amplitudes = _state_amplitudes(TABLE_POINTS)
         reference = [_ref_amplitudes(*point) for point in TABLE_POINTS]
         assert np.array_equal(_bits(amplitudes), _bits(reference))
         assert np.array_equal(_bits(tripartite_state(ModelParams(*TABLE_POINTS[7]))), _bits(reference[7]))
@@ -369,8 +391,8 @@ class TestClosedTable:
         others = TABLE_POINTS[:: len(TABLE_POINTS) // size][: size - 1]
         k = {"first": 0, "middle": size // 2, "last": size - 1}[position]
         batch = [*others[:k], point, *others[k:]]
-        alone_table, alone_amplitudes = _closed_table([point])
-        table, amplitudes = _closed_table(batch)
+        alone_table, alone_amplitudes = _closed_table([point]), _state_amplitudes([point])
+        table, amplitudes = _closed_table(batch), _state_amplitudes(batch)
         assert len(batch) == size
         assert np.array_equal(_bits(table[k]), _bits(alone_table[0]))
         assert np.array_equal(_bits(amplitudes[k]), _bits(alone_amplitudes[0]))

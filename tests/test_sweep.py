@@ -6,11 +6,13 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from hawkent.model import ModelParams, ModePair
+import hawkent.model
+from hawkent.model import ModelParams, ModePair, tripartite_state
 from hawkent.model import (
     _closed_table,
     closed_form_concurrence,
@@ -21,6 +23,7 @@ from hawkent.model import (
 from hawkent.sweep import (
     _MEASURES,
     _PAIRS,
+    _check_amplitudes,
     CSV_COLUMNS,
     RunConfig,
     SweepRow,
@@ -438,11 +441,11 @@ def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
     """
 
     def skewed(points):
-        table, amplitudes = _closed_table(points)
+        table = _closed_table(points)
         rows = slice(None) if temperature is None else table[:, 2] == temperature
         for k in entries:
             table[rows, 3 + k] += delta
-        return table, amplitudes
+        return table
 
     monkeypatch.setattr("hawkent.sweep._closed_table", skewed)
 
@@ -496,7 +499,7 @@ class TestVerification:
         with pytest.raises(VerificationError, match="I_II min PT eigenvalue: nan vs "):
             evaluate_point(0.5, 1.0, 1.0)
 
-    def test_verified_sweep_makes_two_real_lapack_calls(self, monkeypatch):
+    def test_verified_sweep_makes_one_real_lapack_call(self, monkeypatch):
         calls = {}
         for name in ("eigh", "eigvalsh", "svd"):
             def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
@@ -507,7 +510,54 @@ class TestVerification:
         spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, scale="log",
                          alpha=0.6, omega=1.0)
         run_sweep(_config(spec))
-        # the 2x2 concurrence SVD and the partial-transpose spectra; no eigh,
-        # since each pair's factor is read off the amplitudes
-        assert {name: len(dtypes) for name, dtypes in calls.items()} == {"svd": 1, "eigvalsh": 1}
-        assert set(calls["svd"] + calls["eigvalsh"]) == {np.dtype(np.float64)}
+        # the 4x4 concurrence embeddings and partial transposes in one stack;
+        # no eigh, since each pair's factor is read off the amplitudes
+        assert calls == {"eigvalsh": [np.dtype(np.float64)]}
+
+
+def _mutate_weights(monkeypatch, mutation):
+    """Replace ``hawkent.model._weights``, and nothing else, by a wrong variant."""
+    weights = hawkent.model._weights
+    mutated = {
+        "doubled_ratio": lambda omega, temperature: weights(2.0 * omega, temperature),
+        "swapped": lambda omega, temperature: weights(omega, temperature)[::-1],
+    }[mutation]
+    monkeypatch.setattr("hawkent.model._weights", mutated)
+
+
+WEIGHT_MUTATIONS = pytest.mark.parametrize("mutation", ["doubled_ratio", "swapped"])
+
+
+class TestCheckBuildsItsOwnAmplitudes:
+    """The check reaches the thermal weights on a path of its own, so wrong weights fail it."""
+
+    @WEIGHT_MUTATIONS
+    def test_wrong_thermal_weights_fail_a_verified_sweep(self, monkeypatch, mutation):
+        _mutate_weights(monkeypatch, mutation)
+        spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=200, scale="log",
+                         alpha=1.0 / math.sqrt(2.0), omega=1.0)
+        with pytest.raises(VerificationError, match="mismatch"):
+            run_sweep(_config(spec))
+        assert len(run_sweep(_config(spec, verify=False))) == 200
+
+    def test_match_the_state_amplitudes(self):
+        rng = np.random.default_rng(16)
+        ratio = np.exp(rng.uniform(math.log(1e-300), math.log(1e4), 5000))
+        points = [(a, 1.0, 1.0 / x) for a, x in zip(rng.uniform(0.0, 1.0, 5000).tolist(), ratio.tolist())]
+        # w / (2T) overflows, T = 0, and T far above w
+        points += [(0.5, 1.0, 5e-324), (0.5, 1e300, 1e-10), (0.7, 1.0, 0.0), (0.3, 1e-300, 1e300)]
+        got = _check_amplitudes(_closed_table(points))
+        want = np.array([tripartite_state(ModelParams(*point)) for point in points])
+        # 2.25 eps was the largest gap measured on these points
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+    def test_zero_temperature_gives_a_zero_angle_without_a_warning(self):
+        points = [(0.6, 1.0, 0.0), (0.3, 1e300, 0.0), (0.9, 5e-324, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amplitudes = _check_amplitudes(_closed_table(points))
+            evaluate_point(0.6, 1.0, 0.0)
+        for point, row in zip(points, amplitudes):
+            alpha = point[0]
+            assert row.tolist() == [alpha, 0.0, 0.0, 0.0, 0.0, 0.0, math.sqrt(1.0 - alpha * alpha), 0.0]
+            assert row.tolist() == tripartite_state(ModelParams(*point)).tolist()
