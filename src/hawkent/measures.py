@@ -30,22 +30,25 @@ eigenvalues of ``rho`` below ``16 eps`` times its largest are set to
 zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
-One kernel computes the four measures of a stack of states from the
-states, any factor ``L`` of each, each joint spectrum and both
-marginal spectra.  numpy's linalg broadcasts, so the kernel takes the
-``eigvalsh`` of the embeddings ``H`` and of the partial transposes on
-the whole stack; when the two have the same size the two problems go
-to LAPACK as one stacked call.  :func:`measure_stack` feeds it
-``V sqrt(e)`` and ``e`` from one ``eigh`` of the stack, so ``H`` is 8x8
-and the stack costs three LAPACK calls: ``eigh`` and two ``eigvalsh``.
-A verified sweep feeds it the 4x2 factor that the amplitudes of its
-pure three-mode state already are, and the closed-form spectrum of the
-2x2 Gram matrix ``L^dagger L``; its ``H`` is 4x4 like the partial
-transposes, so it makes one LAPACK call.  The one-qubit marginal
-spectra are closed forms of the 2x2 entries, and the partial transpose
-is a fixed gather of 16 entries.  Both marginal spectra, the joint
-spectrum and the EoF pair go through one ``x log2 x`` pass.  Real
-input stays real, so the real pair states of the model reach the real
+Two routes reach the spectra of a stack of states, and one kernel
+takes the four measures from them: the concurrence roots, the lowest
+eigenvalue of each partial transpose, each joint spectrum and both
+marginal spectra.  The marginal spectra are closed forms of the 2x2
+entries, and the partial transpose is a fixed gather of 16 entries.
+Both marginal spectra, the joint spectrum and the EoF pair go through
+one ``x log2 x`` pass.  :func:`measure_stack` takes one ``eigh`` of
+the stack and embeds ``M`` of ``L = V sqrt(e)``, so ``H`` is 8x8 and
+the stack costs three LAPACK calls: ``eigh`` and two ``eigvalsh``.  A
+verified sweep starts from the 4x2 factor that the amplitudes of its
+pure three-mode state already are, and takes the joint spectrum in
+closed form from the 2x2 Gram matrix ``L^dagger L``.  It forms the
+Gram entries and ``M`` as gathered sums of four products over the
+whole stack, where a batched matmul would make one BLAS call per 4x2
+matrix.  Its ``H`` is 4x4 like the partial transposes, and one gather
+lays both out, so it makes one LAPACK call.  Its states ``L L^dagger``
+stay a batched matmul, so that its partial transposes are bit for bit
+those of the same states handed to :func:`measure_stack`.  Real input
+stays real, so the real pair states of the model reach the real
 LAPACK routines, and ``H`` is real for every input.  A
 :class:`DensityMatrix` is gated when built; single-state measures read
 its gate's eigensystem.
@@ -273,22 +276,21 @@ def _spin_flip_embedding(factor: np.ndarray) -> np.ndarray:
 
 
 def _measures(
-    m: np.ndarray, factor: np.ndarray, joint: np.ndarray, marginals: np.ndarray
+    roots: np.ndarray, transposed_lowest: np.ndarray, joint: np.ndarray, marginals: np.ndarray
 ) -> np.ndarray:
-    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states.
+    """The ``(K, 4)`` measures of gated two-qubit states, from their spectra.
 
-    ``factor`` is any ``(K, 4, r)`` stack with ``m = L L^dagger``,
-    ``joint`` the ascending nonzero spectrum of each state (zeros may be
-    left out: they add nothing to the entropy) and ``marginals`` the
-    ``(K, 2, 2)`` spectra of :func:`_marginal_spectra`.  The concurrence
-    roots are the ``r`` largest eigenvalues of the real symmetric
-    ``(K, 2r, 2r)`` embeddings ``H`` of ``M = L^T (sy x sy) L`` (see the
-    module docstring).  When ``H`` is 4x4, the size of the partial
-    transposes, both stacks go to one ``eigvalsh``; otherwise each takes
-    one.  Each state's probabilities (both marginal spectra, the EoF
-    pair ``p, 1 - p`` and the joint spectrum) form one row of a block
-    that takes one ``x log2 x`` pass; entropies are ``0.0 - sum``, so a
-    zero entropy is ``+0.0``, and so is a zero concurrence.
+    ``roots`` holds the ``r`` concurrence roots of each state, ascending
+    (the ``r`` largest eigenvalues of its embedding ``H``, see the module
+    docstring), ``transposed_lowest`` the lowest eigenvalue of its
+    partial transpose, ``joint`` its ascending nonzero spectrum (zeros
+    may be left out: they add nothing to the entropy) and ``marginals``
+    the ``(K, 2, 2)`` spectra of :func:`_marginal_spectra`, which take
+    the positivity gate of :func:`validate_density` here.  Each state's
+    probabilities (both marginal spectra, the EoF pair ``p, 1 - p`` and
+    the joint spectrum) form one row of a block that takes one
+    ``x log2 x`` pass; entropies are ``0.0 - sum``, so a zero entropy is
+    ``+0.0``, and so is a zero concurrence.
     """
     k, r = joint.shape
     out = np.empty((k, 4))
@@ -298,14 +300,6 @@ def _measures(
     bad = lowest < -PSD_ATOL
     if bad.any():
         raise _not_psd(lowest[bad][0])
-    embedding = _spin_flip_embedding(factor)
-    transposed = m.reshape(k, 16)[:, _PT_ENTRIES]
-    if embedding.shape == transposed.shape:
-        spectra = np.linalg.eigvalsh(np.concatenate((embedding, transposed)))
-        roots, transposed_spectra = spectra[:k, r:], spectra[k:]
-    else:
-        roots = np.linalg.eigvalsh(embedding)[:, r:]
-        transposed_spectra = np.linalg.eigvalsh(transposed)
     # roots ascend; adding 0.0 folds a -0.0 concurrence into +0.0
     c = np.maximum(0.0, roots[:, -1] - roots[:, :-1].sum(axis=-1), out=out[:, 0])
     c += 0.0
@@ -317,8 +311,64 @@ def _measures(
     pairs = h[:, 0:6:2] + h[:, 1:6:2]
     np.subtract(0.0, pairs[:, 2], out=out[:, 1])
     np.subtract(h[:, 6:].sum(axis=1), pairs[:, 0] + pairs[:, 1], out=out[:, 2])
-    out[:, 3] = transposed_spectra[:, 0]
+    out[:, 3] = transposed_lowest
     return out
+
+
+def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` states from their ascending eigensystems.
+
+    The concurrence roots are the four largest eigenvalues of the 8x8
+    embeddings of the factors ``V sqrt(e)`` after the rank cut; the
+    embeddings and the partial transposes take one ``eigvalsh`` each.
+    """
+    embedding = _spin_flip_embedding(_eigen_factor(evals, vecs))
+    roots = np.linalg.eigvalsh(embedding)[:, 4:]
+    transposed = np.linalg.eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
+    return _measures(roots, transposed[:, 0], evals, _marginal_spectra(m))
+
+
+# Flat ``row * 2 + col`` entries of a 4x2 factor ``L`` whose products give the
+# Gram and spin-flip entries: row ``n`` of the ``(K, 6)`` sums adds up
+# ``[conj L, L, -L][_PRODUCT_LEFT[n]] * L[_PRODUCT_RIGHT[n]]`` over four terms.
+# Rows 0-2 are ``(a, c, b)`` of ``L^dagger L = [[a, b], [b*, c]]``, sums of
+# ``conj(L[i, j]) L[i, l]``; rows 3-5 are ``(M00, M11, M01)`` of
+# ``M = L^T (sy x sy) L``, sums of ``s_i L[3 - i, j] L[i, l]`` whose spin-flip
+# signs ``s_i`` pick ``L`` or ``-L``.
+_COLUMN_0 = np.arange(0, 8, 2)
+_FLIPPED_0 = np.where(_SPIN_FLIP_SIGNS[:, 0] < 0.0, 16, 8) + _COLUMN_0[::-1]
+_PRODUCT_LEFT = np.array(
+    [_COLUMN_0, _COLUMN_0 + 1, _COLUMN_0, _FLIPPED_0, _FLIPPED_0 + 1, _FLIPPED_0]
+)
+_PRODUCT_RIGHT = np.array([_COLUMN_0, _COLUMN_0 + 1, _COLUMN_0 + 1] * 2)
+
+# Entries of ``[m, Re M, Im M, -Re M]`` (16 + 3 + 3 + 3 per state, ``M`` as
+# ``(M00, M11, M01)``) that lay out one state's eigensolver input: the
+# embedding ``[[Re M, Im M], [Im M, -Re M]]``, then the partial transpose of ``m``.
+_RE_M, _IM_M, _NEG_RE_M = (16 + 3 * part + np.array([[0, 2], [2, 1]]) for part in range(3))
+_EIGVALSH_ENTRIES = np.array([np.block([[_RE_M, _IM_M], [_IM_M, _NEG_RE_M]]), _PT_ENTRIES])
+
+
+def _factor_products(factors: np.ndarray) -> np.ndarray:
+    """The ``(K, 6)`` Gram and spin-flip entries of a ``(K, 4, 2)`` factor stack.
+
+    Each row holds ``(a, c, b)`` of ``L^dagger L``, then ``(M00, M11, M01)``
+    of ``M = L^T (sy x sy) L``, each entry a sum of four gathered
+    products (see ``_PRODUCT_LEFT``); no BLAS call is made.
+    """
+    flat = factors.reshape(-1, 8)
+    left = np.concatenate((flat.conj(), flat, -flat), axis=1)
+    return (left[:, _PRODUCT_LEFT] * flat[:, _PRODUCT_RIGHT]).sum(axis=-1)
+
+
+def _eigensolver_input(m: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """The ``(K, 2, 4, 4)`` embeddings and partial transposes of ``(K, 4, 4)`` states.
+
+    ``flip`` holds ``(M00, M11, M01)`` of each state's 4x2 factor; one
+    gather lays out both matrices of each state (see ``_EIGVALSH_ENTRIES``).
+    """
+    entries = np.concatenate((m.reshape(-1, 16), flip.real, flip.imag, -flip.real), axis=1)
+    return entries[:, _EIGVALSH_ENTRIES]
 
 
 def _factor_measures(factors: np.ndarray) -> np.ndarray:
@@ -329,20 +379,26 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     so ``L L^dagger`` is that pair's reduced state.  By the Schmidt
     decomposition its nonzero spectrum is that of the 2x2 Gram matrix
     ``L^dagger L``, taken in closed form together with both marginal
-    spectra, and the concurrence embedding ``H`` is 4x4, so the whole
-    stack makes one LAPACK call, an ``eigvalsh`` of ``2K`` 4x4 matrices
-    (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  The built
-    states pass the Hermiticity and trace gates of
-    :func:`validate_density`.  Positivity holds by construction: the
-    rest of the spectrum is exactly zero, so the lowest eigenvalue is
-    ``min(0, gram_low)``.
+    spectra (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  The
+    Gram entries and ``M = L^T (sy x sy) L`` are gathered sums of four
+    products (:func:`_factor_products`), and one gather lays out each
+    4x4 embedding ``H`` beside its partial transpose, so the whole
+    stack makes one LAPACK call, an ``eigvalsh`` of ``2K`` 4x4 matrices.
+    ``L L^dagger`` stays a batched matmul: the partial transposes are
+    then those of the states :func:`measure_stack` is handed, bit for
+    bit, and so are the min PT eigenvalues.  The built states pass the
+    Hermiticity and trace gates of :func:`validate_density`.
+    Positivity holds by construction: the rest of the spectrum is
+    exactly zero, so the lowest eigenvalue is ``min(0, gram_low)``.
     """
     m = factors @ factors.conj().swapaxes(-1, -2)
-    gram = (factors.conj().swapaxes(-1, -2) @ factors).reshape(-1, 1, 4)[..., [0, 3, 1]]
-    spectra = _two_level_spectra(np.concatenate((gram, _marginal_entries(m)), axis=1))
+    products = _factor_products(factors)
+    entries = np.concatenate((products[:, None, :3], _marginal_entries(m)), axis=1)
+    spectra = _two_level_spectra(entries)
     joint = spectra[:, 0]
     _check_density(m, np.minimum(joint[:, 0], 0.0))
-    return _measures(m, factors, joint, spectra[:, 1:])
+    eigenvalues = np.linalg.eigvalsh(_eigensolver_input(m, products[:, 3:]))
+    return _measures(eigenvalues[:, 0, 2:], eigenvalues[:, 1, 0], joint, spectra[:, 1:])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -425,7 +481,7 @@ def measure_stack(states) -> np.ndarray:
     m = _as_square_stack(m)
     evals, vecs = np.linalg.eigh(m)
     _check_density(m, evals[:, 0])
-    return _measures(m, _eigen_factor(evals, vecs), evals, _marginal_spectra(m))
+    return _stack_measures(m, evals, vecs)
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
@@ -437,6 +493,4 @@ def measure_set(rho: DensityMatrix) -> MeasureSet:
     if rho.dims != (2, 2):
         raise ValueError(f"measure is defined for qubit pairs, got dims {rho.dims}")
     evals, vecs = rho._spectrum
-    m = rho.matrix[None]
-    factor = _eigen_factor(evals, vecs)[None]
-    return MeasureSet(*_measures(m, factor, evals[None], _marginal_spectra(m))[0].tolist())
+    return MeasureSet(*_stack_measures(rho.matrix[None], evals[None], vecs[None])[0].tolist())

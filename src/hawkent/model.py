@@ -145,9 +145,13 @@ class LimitReport:
 
 
 def hawking_temperature(mass: float) -> float:
-    """``T = 1 / (8 pi M)`` in geometric units (G = c = hbar = k = 1)."""
+    """``T = 1 / (8 pi M)`` in geometric units (G = c = hbar = k = 1), as a Python float.
+
+    A numpy mass, such as a ``float32``, is taken as a Python float first.
+    """
     if not (0.0 < mass and _finite(mass)):
         raise ValueError(f"mass must be positive and finite, got {mass!r}")
+    mass = float(mass)
     denominator = 8.0 * math.pi * mass
     # past about 1.4e306 the product overflows; the reordered form keeps T
     # nonzero there, and is taken only there because it rounds differently

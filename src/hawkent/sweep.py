@@ -226,9 +226,9 @@ def _verify(table: np.ndarray) -> None:
     # CSV columns after the parameters run measure by measure, pair by pair
     closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)
     # NaN on either side fails: it is never within the tolerance
-    failing = np.argwhere(~(np.abs(closed - spectral) <= VERIFY_ATOL))
-    if failing.size:
-        k, p, j = failing[0]
+    agree = np.abs(closed - spectral) <= VERIFY_ATOL
+    if not agree.all():
+        k, p, j = np.argwhere(~agree)[0]
         alpha, omega, temperature = table[k, :3].tolist()
         raise VerificationError(
             f"closed-form vs spectral mismatch at alpha={alpha:.12g}, "

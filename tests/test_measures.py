@@ -645,6 +645,58 @@ class TestSpinFlipEmbedding:
         assert np.all(np.abs(spectrum[:, :rank] + singular) <= bound)
 
 
+class TestFactorProducts:
+    """The factor route's gathered products match matmuls of the same factors."""
+
+    KINDS = ("full", "rank 1", "zero column")
+
+    @classmethod
+    def _factors(cls, complex_entries, kind):
+        rng = np.random.default_rng(10 * complex_entries + cls.KINDS.index(kind))
+        factor = rng.normal(size=(4000, 4, 2))
+        if complex_entries:
+            factor = factor + 1.0j * rng.normal(size=(4000, 4, 2))
+        if kind == "rank 1":
+            factor[:, :, 1] = factor[:, :, 0] * rng.normal(size=(4000, 1))
+        elif kind == "zero column":
+            factor[:, :, rng.integers(2)] = 0.0
+        factor *= np.exp(rng.uniform(-20.0, 20.0, size=(4000, 1, 1)))
+        # 16 eps of the largest |L|^2 of each factor
+        bound = 16 * np.finfo(float).eps * (np.abs(factor) ** 2).max(axis=(1, 2))
+        return factor, bound[:, None, None]
+
+    FACTORS = pytest.mark.parametrize("kind", KINDS)
+    ENTRIES = pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+
+    @FACTORS
+    @ENTRIES
+    def test_gram_entries_match_a_matmul(self, complex_entries, kind):
+        from hawkent.measures import _factor_products
+
+        factor, bound = self._factors(complex_entries, kind)
+        gram = factor.conj().swapaxes(-1, -2) @ factor
+        got = _factor_products(factor)[:, :3]
+        want = gram.reshape(-1, 4)[:, [0, 3, 1]]
+        assert np.all(np.abs(got - want) <= bound[:, 0])
+
+    @FACTORS
+    @ENTRIES
+    def test_eigensolver_input_matches_the_embedding_and_the_transpose(self, complex_entries, kind):
+        from hawkent.measures import (
+            _PT_ENTRIES,
+            _eigensolver_input,
+            _factor_products,
+            _spin_flip_embedding,
+        )
+
+        factor, bound = self._factors(complex_entries, kind)
+        m = factor @ factor.conj().swapaxes(-1, -2)
+        stack = _eigensolver_input(m, _factor_products(factor)[:, 3:])
+        assert stack.shape == (4000, 2, 4, 4)
+        assert np.all(np.abs(stack[:, 0] - _spin_flip_embedding(factor)) <= bound)
+        assert np.array_equal(stack[:, 1], m.reshape(-1, 16)[:, _PT_ENTRIES])
+
+
 class TestMarginalSpectra:
     @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])

@@ -116,6 +116,20 @@ class TestHawkingTemperature:
         with pytest.raises(ValueError, match="mass must be positive and finite"):
             hawking_temperature(10**400)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_mass_is_computed_in_float64(self, dtype):
+        for mass in np.array([0.1, 0.5, 2.0, 3.0, 1e4], dtype):
+            temperature = hawking_temperature(mass)
+            assert type(temperature) is float
+            assert temperature == hawking_temperature(float(mass))
+
+    def test_huge_float32_mass_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            temperature = hawking_temperature(np.float32(1e38))
+        assert 0.0 < temperature < math.inf
+        assert temperature == hawking_temperature(float(np.float32(1e38)))
+
 
 class TestThermalFactors:
     def test_zero_temperature_is_exact(self):

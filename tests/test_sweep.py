@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hawkent.model
+import hawkent.sweep
 from hawkent.model import ModelParams, ModePair, tripartite_state
 from hawkent.model import (
     _closed_table,
@@ -492,6 +493,22 @@ class TestVerification:
         spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
         expected = f"{_PAIRS[k % 3].value} {_MEASURES[k // 3]}: nan vs "
         with pytest.raises(VerificationError, match=re.escape(expected)):
+            run_sweep(_config(spec))
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_nan_spectral_value_is_reported_by_its_pair_and_measure(self, monkeypatch, k):
+        measure = hawkent.sweep._factor_measures
+
+        def nan_at_last_point(factors):
+            # rows run point by point, pair by pair; CSV entry k is pair k % 3, measure k // 3
+            spectral = measure(factors)
+            spectral[len(spectral) - 3 + k % 3, k // 3] = math.nan
+            return spectral
+
+        monkeypatch.setattr("hawkent.sweep._factor_measures", nan_at_last_point)
+        spec = SweepSpec(vary="temperature", min=0.5, max=1.5, steps=3, alpha=0.5, omega=1.0)
+        expected = f"temperature=1.5: {_PAIRS[k % 3].value} {_MEASURES[k // 3]}: "
+        with pytest.raises(VerificationError, match=re.escape(expected) + r"\S+ vs nan$"):
             run_sweep(_config(spec))
 
     def test_nan_closed_form_fails_a_single_point(self, monkeypatch):
