@@ -28,12 +28,11 @@ from dataclasses import astuple
 
 from .model import asymptotic_limits, hawking_temperature
 from .sweep import (
-    _CELL,
     CSV_COLUMNS,
     RunConfig,
     SweepSpec,
     VerificationError,
-    _render,
+    _render_lines,
     emit_csv,
     emit_json,
     evaluate_point,
@@ -225,10 +224,7 @@ def figure_command(
     rows = run_sweep(RunConfig(sweep=spec))
     names = ("temperature", *_FIGURE_COLUMNS[which])
     cells = operator.itemgetter(*[CSV_COLUMNS.index(name) for name in names])
-    # one line template per row, as emit_csv renders its rows
-    template = ",".join([_CELL] * len(names))
-    lines = [",".join(names), *[_render(template, cells(row)) for row in rows]]
-    return "\n".join(lines) + "\n"
+    return ",".join(names) + "\n" + _render_lines(map(cells, rows), len(names))
 
 
 def limits_command(alpha: float) -> str:

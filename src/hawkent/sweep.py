@@ -21,13 +21,16 @@ nor the thermal weights it starts from.  The spectral route never
 reads a closed-form value or weight, and the emitted values are the
 closed forms either way.
 
-Emission formats every cell once.  One line template renders a row's
-fifteen cells with 12 significant digits (``-0.0`` printed as ``0.0``)
-in one call; CSV writes those lines as they are, and JSON parses each
-cell back with ``float()`` and writes the ``rows`` array as text in the
-``indent=1`` layout, so every JSON value is the exact value of its CSV
-cell.  :func:`format_number` renders single values with the same cell
-format, for the CLI's text reports.
+Each emitter renders a sweep once.  One ``%`` call on a template of all
+the lines renders every cell with 12 significant digits (``-0.0``
+printed as ``0.0``); CSV writes those lines as they are.  JSON reads
+each value's text off its cell with string operations, falling back to
+``json.dumps(float(cell))`` only for the few cells whose shortest repr
+does not follow from the cell's text (see :func:`_json_values`), and
+fills one template of all the records, in the ``indent=1`` layout, in
+one more ``%`` call.  Every JSON value is therefore the exact value of
+its CSV cell.  :func:`format_number` renders single values with the
+same cell format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import json
 import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -172,7 +176,6 @@ class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for 
 
 # 12 significant digits, trailing zeros kept
 _CELL = "%#.12g"
-_CSV_LINE = ",".join([_CELL] * len(CSV_COLUMNS))
 # one element of the JSON rows array, as json.dump(..., indent=1) lays it out
 _JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n  }"
 
@@ -279,19 +282,52 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return _rows(points, config.verify)
 
 
-def _csv_lines(rows: list[SweepRow]) -> list[str]:
-    """Each row as one CSV line of 12-digit cells, without its newline.
+def _render_lines(rows, width: int) -> str:
+    """The rows as lines of ``width`` comma-separated cells, each line ending in a newline.
 
-    Raises ``ValueError`` for the first row whose width is not that of
-    ``CSV_COLUMNS``.
+    Every row is checked before anything is rendered: raises
+    ``ValueError`` for the first row whose width is not ``width``.  The
+    cells of all rows are then rendered by one ``%`` call on a template
+    of all the lines, with every ``-0.0`` printed as ``0.0``.
     """
-    lines = []
+    rows = list(map(tuple, rows))
     for i, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"row {i} has {len(row)} values, expected {len(CSV_COLUMNS)}")
-        lines.append(_render(_CSV_LINE, row))
-    return lines
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} values, expected {width}")
+    line = ",".join([_CELL] * width) + "\n"
+    return _render(line * len(rows), tuple(chain.from_iterable(rows)))
+
+
+def _json_values(cells: list[str]) -> list[str]:
+    """The JSON text of ``float(cell)`` for each ``%#.12g`` cell, read off the cell.
+
+    ``float()`` of a decimal with at most DBL_DIG = 15 significant
+    digits is a double whose shortest round-trip repr has those same
+    digits, less their trailing zeros, as long as the double is normal;
+    a cell has 12.  repr writes exponent form below 1e-4 and from 1e16
+    on, ``%g`` below 1e-4 and from 1e12 on, each with a signed exponent
+    of at least two digits.  So a fixed-form cell drops the trailing
+    zeros of its significand, a bare trailing ``.`` becoming ``.0``, and
+    an exponent-form cell drops them and a bare ``.`` and keeps
+    ``e+XX`` as it is.  The other cells take ``json.dumps(float(cell))``:
+    NaN and the infinities; decimal exponents 12 to 15, which ``%g``
+    writes in exponent form and repr in fixed form; and exponents of
+    -308 and below, where the value may be subnormal and its repr
+    shorter.
+    """
+    values = []
+    for cell in cells:
+        if "e" in cell:
+            significand, e, exponent = cell.partition("e")
+            if int(exponent) > 15 or -308 < int(exponent) < 12:
+                values.append(significand.rstrip("0").rstrip(".") + e + exponent)
+                continue
+        elif "n" not in cell:  # nan and inf are the only cells with an "n"
+            fixed = cell.rstrip("0")
+            values.append(fixed + "0" if fixed[-1] == "." else fixed)
+            continue
+        values.append(json.dumps(float(cell)))
+    return values
 
 
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
@@ -300,7 +336,7 @@ def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
     Every row is rendered before anything is written, so a row of the
     wrong width raises ``ValueError`` and leaves ``stream`` untouched.
     """
-    stream.write("\n".join([",".join(CSV_COLUMNS), *_csv_lines(rows), ""]))
+    stream.write(",".join(CSV_COLUMNS) + "\n" + _render_lines(rows, len(CSV_COLUMNS)))
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
@@ -308,13 +344,14 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
 
     The bytes are those of ``json.dump(payload, stream, indent=1)``
     plus a newline, where ``payload`` holds the config echo (or None)
-    and, for each row, an object from column name to the row's value
-    rounded to 12 significant digits.  Each JSON value is ``float()``
-    of its CSV cell, so the two formats agree exactly.  NaN and
-    infinities keep ``json``'s spelling.  Rows of the wrong width raise
-    ``ValueError`` before anything is written.
+    and, for each row, an object from column name to ``float()`` of the
+    row's CSV cell, so the two formats agree exactly.  Each value's text
+    is read off its cell (see :func:`_json_values`), and one ``%`` call
+    fills the records of all rows.  NaN and infinities keep ``json``'s
+    spelling.  Rows of the wrong width raise ``ValueError`` before
+    anything is written.
     """
-    lines = _csv_lines(rows)  # raises on a bad row before anything is written
+    lines = _render_lines(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
     echo = None if config is None else {
         **asdict(config.sweep),
         "format": config.output_format,
@@ -323,12 +360,8 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
         "mass": config.mass,
     }
     text = json.dumps({"config": echo, "rows": []}, indent=1)
-    records = []
-    for line in lines:
-        cells = map(float, line.split(","))
-        if "n" in line:  # nan or inf: a finite 12-digit cell has no "n"
-            cells = map(json.dumps, cells)
-        records.append(_JSON_RECORD % tuple(cells))
-    if records:
-        text = text.removesuffix("[]\n}") + "[\n" + ",\n".join(records) + "\n ]\n}"
+    if lines:
+        cells = lines[:-1].replace("\n", ",").split(",")
+        records = ",\n".join([_JSON_RECORD] * lines.count("\n")) % tuple(_json_values(cells))
+        text = text.removesuffix("[]\n}") + "[\n" + records + "\n ]\n}"
     stream.write(text + "\n")

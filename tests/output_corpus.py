@@ -77,6 +77,10 @@ INVOCATIONS = [
      "--alpha", "0.4", "--mass", "0.1", "--format", "json", "--out", "out.json"],
     ["sweep", "--vary", "omega", "--min", "1", "--max", "2", "--steps", "2",
      "--alpha", "0.95", "--temperature", "3", "--verify", "off"],
+    # JSON cells off the common path: subnormal (e-314) and e+13 values
+    [*_SWEEP_T, "--min", "0.0006", "--max", "0.0015", "--steps", "40", "--format", "json"],
+    ["sweep", "--vary", "omega", "--min", "1e11", "--max", "1e15", "--steps", "9",
+     "--scale", "log", "--alpha", "0.6", "--temperature", "1e13", "--format", "json"],
     # a write failure exits 4
     ["figure", "1", "--steps", "5", "--out", "missing/out.csv"],
     # invalid invocations exit 2

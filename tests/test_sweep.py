@@ -5,7 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import random
 import re
+import struct
+import sys
 import warnings
 
 import numpy as np
@@ -431,6 +434,46 @@ class TestEmissionBytes:
         with pytest.raises(ValueError, match=f"row 1 has {width} values, expected {len(CSV_COLUMNS)}"):
             emit(rows, out)
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("emit", [emit_csv, emit_json])
+    def test_compensating_widths_raise_before_writing(self, emit):
+        # 14 + 16 cells fill two rows of 15: only a per-row check sees the fault
+        rows = iter([(0.5,) * (len(CSV_COLUMNS) - 1), (0.5,) * (len(CSV_COLUMNS) + 1)])
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=f"row 0 has {len(CSV_COLUMNS) - 1} values, expected {len(CSV_COLUMNS)}"):
+            emit(rows, out)
+        assert out.getvalue() == ""
+
+    def test_json_values_are_read_off_their_cells_exactly(self):
+        rng = random.Random(18)
+        finite = []
+        while len(finite) < 20000:  # uniform by bit pattern: every binade and the subnormals alike
+            value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(value):
+                finite.append(value)
+        decades = []
+        for k in range(-310, 18):
+            value = float(f"1e{k}")
+            decades += [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
+        # subnormals of every mantissa length, down to the smallest: their repr may be shorter
+        subnormals = [
+            struct.unpack("<d", rng.getrandbits(k).to_bytes(8, "little"))[0] for k in range(1, 53) for _ in range(10)
+        ]
+        # the 12-digit rounding of each crosses into the next notation or exponent
+        crossing = [9.999999999995e11, 9.99999999999995e-5, 9999999999999995.0]
+        integers = [float(n) for n in (1, 7, 10, 123, 100000000000, 999999999999, 10**12, 10**15, 10**16)]
+        extremes = [0.0, -0.0, sys.float_info.max, -sys.float_info.max]
+        cells = [sign * v for v in decades + subnormals + crossing + integers for sign in (1.0, -1.0)]
+        cells += finite + extremes
+        width = len(CSV_COLUMNS)
+        cells += [0.5] * (-len(cells) % width)
+        rows = [tuple(cells[i:i + width]) for i in range(0, len(cells), width)]
+        out = io.StringIO()
+        emit_json(rows, out)
+        got, want = out.getvalue().splitlines(), _old_json(rows, None).splitlines()
+        assert len(got) == len(want)
+        differ = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not differ, f"{len(differ)} lines differ, first: {differ[:3]}"
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
     """Add ``delta`` to the closed-form ``entries`` of ``hawkent.sweep._closed_table``.
