@@ -7,12 +7,11 @@ state ``L L^dagger``) and cross-checks the two routes wherever numbers
 are produced.
 """
 
-from . import linalg, measures, model, sweep
-from .linalg import *  # noqa: F403
+from . import measures, model, sweep
 from .measures import *  # noqa: F403
 from .model import *  # noqa: F403
 from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *linalg.__all__, *measures.__all__, *model.__all__, *sweep.__all__]
+__all__ = ["__version__", *measures.__all__, *model.__all__, *sweep.__all__]

@@ -1,7 +1,10 @@
 """Bipartite density matrices and two-qubit correlation measures.
 
 A ``DensityMatrix`` couples a validated matrix to its tensor split, so
-every measure knows which cut it refers to.  All entropic quantities
+every measure knows which cut it refers to.  The split is passed as
+``dims = (d1, d2)`` with the first factor varying slowest (row index
+``i1 * d2 + i2``).  Bool, integer and real input is computed in
+``float64``, anything else in ``complex128``.  All entropic quantities
 are in bits (logarithms base 2).  The closed forms' binary entropies
 take libm's ``log2``, in one kernel; the spectral route takes numpy's.
 
@@ -57,21 +60,14 @@ its gate's eigensystem.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    HERMITICITY_ATOL,
-    PSD_ATOL,
-    _as_square,
-    _as_square_stack,
-    _not_hermitian,
-    _not_psd,
-    _split_dims,
-)
-
 __all__ = [
+    "HERMITICITY_ATOL",
+    "PSD_ATOL",
     "TRACE_ATOL",
     "DensityMatrix",
     "MeasureSet",
@@ -87,6 +83,10 @@ __all__ = [
     "measure_stack",
 ]
 
+# Tolerances of the density gate: Hermiticity and trace entrywise,
+# positivity on the eigenvalue spectrum.
+HERMITICITY_ATOL = 1e-12
+PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 
 # Eigenvalues of rho this far below its largest are rounding dust.
@@ -109,13 +109,24 @@ class DensityMatrix:
     _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = _as_square(self.matrix).copy()
+        m = _as_square_stack(self.matrix)
+        if m.ndim != 2:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        m = m.copy()
         m.flags.writeable = False
-        dims = _split_dims(m.shape[0], self.dims)
+        dim = m.shape[0]
+        try:
+            d1, d2 = (operator.index(d) for d in self.dims)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"dims must be a pair of positive integers, got {self.dims!r}"
+            ) from None
+        if d1 < 1 or d2 < 1 or d1 * d2 != dim:
+            raise ValueError(f"bipartition {(d1, d2)} does not factor matrix dimension {dim}")
         evals, vecs = np.linalg.eigh(m)
         _check_density(m[None], evals[:1])
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", (d1, d2))
         object.__setattr__(self, "_spectrum", (evals, vecs))
 
     @property
@@ -131,6 +142,25 @@ class MeasureSet:
     eof: float
     mutual_information: float
     min_pt_eigenvalue: float
+
+
+def _as_square_stack(a) -> np.ndarray:
+    """Coerce to finite matrices, square in the last two axes, or raise ValueError.
+
+    Bool, integer and real input becomes ``float64``, anything else
+    ``complex128``.
+    """
+    m = np.asarray(a)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
+def _not_psd(lowest: float) -> ValueError:
+    return ValueError(f"matrix is not positive semidefinite: eigenvalue {lowest:.3e}")
 
 
 def _check_density(m: np.ndarray, lowest: np.ndarray) -> None:
@@ -156,7 +186,9 @@ def _check_density(m: np.ndarray, lowest: np.ndarray) -> None:
     bad = (defect > HERMITICITY_ATOL) | (np.abs(trace - 1.0) > TRACE_ATOL) | (lowest < -PSD_ATOL)
     first = bad.argmax()
     if defect[first] > HERMITICITY_ATOL:
-        raise _not_hermitian(defect[first])
+        raise ValueError(
+            f"matrix is not Hermitian: max |a - a^dagger| entry is {defect[first]:.3e}"
+        )
     if abs(trace[first] - 1.0) > TRACE_ATOL:
         raise ValueError(f"trace is {trace[first].real:.15g}, expected 1 within {TRACE_ATOL:g}")
     raise _not_psd(lowest[first])

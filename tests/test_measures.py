@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hawkent.measures import (
     DensityMatrix,
@@ -55,6 +56,29 @@ def _state(matrix, dims=(2, 2)):
     return validate_density(matrix, dims)
 
 
+def _reference_marginals(m):
+    """Both one-qubit marginals of ``(..., 4, 4)`` states by ``np.trace``, first kept first."""
+    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
+    return np.trace(t, axis1=-3, axis2=-1), np.trace(t, axis1=-4, axis2=-2)
+
+
+_ELEMENTS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+# Complex 4x4 matrices with entries in the unit square.
+COMPLEX_4X4 = st.tuples(
+    arrays(np.float64, (4, 4), elements=_ELEMENTS),
+    arrays(np.float64, (4, 4), elements=_ELEMENTS),
+).map(lambda parts: parts[0] + 1.0j * parts[1])
+
+
+def _normalised(g):
+    """The two-qubit state ``g g^dagger / tr``; ``g`` must not be near zero."""
+    m = g @ g.conj().T
+    trace = m.trace().real
+    assume(trace > 1e-3)
+    return m / trace
+
+
 def _random_mixed_states(count, seed=20240817):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -88,8 +112,9 @@ class TestValidateDensity:
     def test_rejects_non_hermitian(self):
         bad = np.eye(4) / 4.0
         bad[0, 1] = 0.1
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError) as got:
             _state(bad)
+        assert str(got.value) == "matrix is not Hermitian: max |a - a^dagger| entry is 1.000e-01"
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -113,6 +138,16 @@ class TestValidateDensity:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             validate_density(np.ones((2, 3)), (2, 1))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 2), (1, 4, 4)])
+    def test_rejects_anything_but_one_square_matrix(self, shape):
+        want = f"expected a square matrix, got shape {shape}"
+        with pytest.raises(ValueError) as got:
+            validate_density(np.full(shape, 0.25), (2, 2))
+        assert str(got.value) == want
+        with pytest.raises(ValueError) as got:
+            DensityMatrix(np.full(shape, 0.25), (2, 2))
+        assert str(got.value) == want
 
     def test_rejects_non_finite(self):
         bad = np.array([[np.nan, 0.0], [0.0, 0.0]])
@@ -253,6 +288,27 @@ class TestMinPtEigenvalue:
     def test_reduced_pair_state(self):
         # equals (a^2 f-^2 - sqrt(a^4 f-^4 + 4 a^2 (1-a^2) f+^2)) / 2
         assert abs(min_pt_eigenvalue(_state(RHO_AII)) - (-0.134470710684998)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho,b,c",
+        [(RHO_AI, A2FP2, RHO_AI[0, 3]), (RHO_AII, A2FM2, RHO_AII[1, 2]), (RHO_III, 0.5, RHO_III[0, 3])],
+        ids=["A_I", "A_II", "I_II"],
+    )
+    def test_coherence_block_closed_form(self, rho, b, c):
+        # the partial transpose moves each pair state's one coherence c into a
+        # 2x2 block [[b, c], [c, 0]] with lowest eigenvalue (b - sqrt(b^2 + 4 c^2)) / 2
+        want = (b - math.sqrt(b * b + 4.0 * c * c)) / 2.0
+        assert abs(min_pt_eigenvalue(_state(rho)) - want) <= 1e-12
+
+    @given(COMPLEX_4X4)
+    def test_measures_are_symmetric_under_swapping_the_qubits(self, g):
+        # transposing either factor gives the same spectrum, and the
+        # marginals trade places, so the PT minimum and the MI stay put
+        rho = _normalised(g)
+        swapped = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        first, second = measure_stack(np.array([rho, swapped]))
+        assert abs(first[3] - second[3]) <= 1e-12
+        assert abs(first[2] - second[2]) <= 1e-12
 
 
 class TestOneToRestTangle:
@@ -473,6 +529,24 @@ class TestMeasureStack:
         complex128, float64 = np.dtype(np.complex128), np.dtype(np.float64)
         assert dtypes == {"eigh": {(complex128, 4)}, "eigvalsh": {(float64, 8), (complex128, 4)}}
 
+    @pytest.mark.parametrize(
+        "rho,dtype",
+        [
+            (RHO_BELL, np.float64),
+            (np.diag([1, 0, 0, 0]), np.float64),
+            (np.diag([True, False, False, False]), np.float64),
+            (RHO_BELL.astype(np.float32), np.float64),
+            (RHO_AI.astype(complex), np.complex128),
+        ],
+        ids=["float64", "int", "bool", "float32", "complex"],
+    )
+    def test_input_arithmetic_is_kept(self, monkeypatch, rho, dtype):
+        assert validate_density(rho, (2, 2)).matrix.dtype == dtype
+        dtypes = _record_lapack_dtypes(monkeypatch)
+        measure_stack(np.array([rho, rho]))
+        kept, float64 = np.dtype(dtype), np.dtype(np.float64)
+        assert dtypes == {"eigh": {(kept, 4)}, "eigvalsh": {(float64, 8), (kept, 4)}}
+
     def test_real_state_is_computed_in_real(self, monkeypatch):
         from hawkent.sweep import RunConfig, SweepSpec, run_sweep
 
@@ -486,6 +560,16 @@ class TestMeasureStack:
         run_sweep(RunConfig(sweep=spec))
         float64 = np.dtype(np.float64)
         assert dtypes == {"eigh": {(float64, 4)}, "eigvalsh": {(float64, 8), (float64, 4)}}
+
+    def test_hermiticity_message_names_the_largest_defect(self):
+        bad = np.eye(4) / 4.0
+        bad[0, 1], bad[1, 0] = 1.0, -1.0
+        want = "matrix is not Hermitian: max |a - a^dagger| entry is 2.000e+00"
+        with pytest.raises(ValueError) as got_state:
+            validate_density(bad, (2, 2))
+        with pytest.raises(ValueError) as got_stack:
+            measure_stack(np.array([RHO_AI, bad]))
+        assert str(got_state.value) == str(got_stack.value) == want
 
     def test_empty_stack(self):
         assert measure_stack(np.zeros((0, 4, 4))).shape == (0, 4)
@@ -527,12 +611,10 @@ class TestRandomStateProperties:
             assert (ms.concurrence > 1e-8) == (ms.min_pt_eigenvalue < -1e-8)
 
     def test_pure_state_schmidt_symmetry(self):
-        from hawkent.linalg import partial_trace
         from hawkent.measures import von_neumann_entropy
 
         for rho in _random_pure_states(150):
-            first = validate_density(partial_trace(rho.matrix, rho.dims, "first"), (2, 1))
-            second = validate_density(partial_trace(rho.matrix, rho.dims, "second"), (2, 1))
+            first, second = (validate_density(r, (2, 1)) for r in _reference_marginals(rho.matrix))
             s1 = von_neumann_entropy(first)
             s2 = von_neumann_entropy(second)
             assert abs(s1 - s2) <= 1e-10
@@ -701,7 +783,6 @@ class TestMarginalSpectra:
     @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_matches_eigvalsh_of_partial_trace(self, complex_entries, rank):
-        from hawkent.linalg import partial_trace
         from hawkent.measures import _marginal_spectra
 
         rng = np.random.default_rng(1000 * rank + complex_entries)
@@ -710,19 +791,74 @@ class TestMarginalSpectra:
             g = g + 1.0j * rng.normal(size=(500, 4, rank))
         m = g @ g.conj().swapaxes(-1, -2)
         m /= m.trace(axis1=-2, axis2=-1)[:, None, None]
-        want = np.stack(
-            [np.linalg.eigvalsh(partial_trace(m, (2, 2), keep)) for keep in ("first", "second")],
-            axis=1,
-        )
+        want = np.stack([np.linalg.eigvalsh(r) for r in _reference_marginals(m)], axis=1)
         got = _marginal_spectra(m)
         assert got.shape == (500, 2, 2)
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+    def test_entries_are_the_partial_trace_sums(self, complex_entries):
+        from hawkent.measures import _marginal_entries
+
+        rng = np.random.default_rng(57 + complex_entries)
+        m = rng.normal(size=(200, 4, 4))
+        if complex_entries:
+            m = m + 1.0j * rng.normal(size=(200, 4, 4))
+        want = np.stack([r.reshape(-1, 4)[:, [0, 3, 1]] for r in _reference_marginals(m)], axis=1)
+        got = _marginal_entries(m)
+        assert got.dtype == m.dtype
+        assert np.array_equal(got, want)
+
+    def test_product_state_gives_the_factor_spectra(self):
+        from hawkent.measures import _marginal_spectra
+
+        p = np.diag([0.3, 0.7])
+        q = np.array([[0.5, 0.2], [0.2, 0.5]])
+        got = _marginal_spectra(np.kron(p, q)[None])[0]
+        assert np.abs(got - [[0.3, 0.7], [0.3, 0.7]]).max() <= 1e-14
+
+    def test_bell_marginals_are_maximally_mixed(self):
+        from hawkent.measures import _marginal_spectra
+
+        assert np.abs(_marginal_spectra(RHO_BELL[None]) - 0.5).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "rho,second",
+        [(RHO_AI, [A2FM2, 0.5 + A2FP2]), (RHO_AII, [A2FP2, 0.5 + A2FM2]), (RHO_III, None)],
+        ids=["A_I", "A_II", "I_II"],
+    )
+    def test_model_pair_marginals(self, rho, second):
+        # mode A keeps its populations alpha^2 and 1 - alpha^2; I and II
+        # hold alpha^2 f-^2 and alpha^2 f+^2 in the ground state, the rest excited
+        from hawkent.measures import _marginal_spectra
+
+        first = [A2FM2, 0.5 + A2FP2] if second is None else [0.5, 0.5]
+        second = [A2FP2, 0.5 + A2FM2] if second is None else second
+        got = _marginal_spectra(rho[None])[0]
+        assert np.abs(got - [first, second]).max() <= 1e-15
+
+    @given(COMPLEX_4X4)
+    def test_spectra_sum_to_the_trace(self, g):
+        from hawkent.measures import _marginal_spectra
+
+        spectra = _marginal_spectra(_normalised(g)[None])[0]
+        assert np.abs(spectra.sum(axis=-1) - 1.0).max() <= 1e-12
+        assert np.all(spectra[:, 0] <= spectra[:, 1])
+
+    def test_acts_on_a_stack_state_by_state(self):
+        from hawkent.measures import _marginal_spectra
+
+        rng = np.random.default_rng(7)
+        stack = rng.normal(size=(6, 4, 4)) + 1.0j * rng.normal(size=(6, 4, 4))
+        stack = stack @ stack.conj().swapaxes(-1, -2)
+        got = _marginal_spectra(stack)
+        for k in range(len(stack)):
+            assert np.array_equal(got[k], _marginal_spectra(stack[k : k + 1])[0])
 
 
 class TestPartialTransposeGather:
     @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
     def test_matches_partial_transpose(self, complex_entries):
-        from hawkent.linalg import partial_transpose
         from hawkent.measures import _PT_ENTRIES
 
         rng = np.random.default_rng(31 + complex_entries)
@@ -730,7 +866,105 @@ class TestPartialTransposeGather:
         if complex_entries:
             m = m + 1.0j * rng.normal(size=(200, 4, 4))
         gathered = m.reshape(-1, 16)[:, _PT_ENTRIES]
-        want = partial_transpose(m, (2, 2), "first")
+        want = m.reshape(-1, 2, 2, 2, 2).swapaxes(-4, -2).reshape(m.shape)
         assert gathered.dtype == want.dtype
         assert gathered.shape == want.shape
         assert np.array_equal(gathered, want)
+
+    @given(COMPLEX_4X4)
+    def test_involution_is_exact(self, a):
+        from hawkent.measures import _PT_ENTRIES
+
+        once = a.reshape(16)[_PT_ENTRIES]
+        assert np.array_equal(once.reshape(16)[_PT_ENTRIES], a)
+
+    def test_product_state_transposes_one_factor(self):
+        # and its transpose is the partial transpose on the second factor
+        from hawkent.measures import _PT_ENTRIES
+
+        p = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+        q = np.array([[0.7, 0.2], [0.2, 0.3]])
+        gathered = np.kron(p, q).reshape(16)[_PT_ENTRIES]
+        assert np.array_equal(gathered, np.kron(p.T, q))
+        assert np.array_equal(gathered.T, np.kron(p, q.T))
+
+    def test_diagonal_is_kept(self):
+        from hawkent.measures import _PT_ENTRIES
+
+        assert np.array_equal(np.diag(_PT_ENTRIES), np.arange(0, 16, 5))
+
+
+class TestTwoLevelSpectra:
+    """The closed-form spectra of 2x2 Hermitian matrices ``[[a, b], [b*, c]]``."""
+
+    @pytest.mark.parametrize(
+        "entries,want",
+        [
+            ((1.0, 1.0, 0.0), [1.0, 1.0]),
+            ((1.0, -1.0, 0.0), [-1.0, 1.0]),
+            # the block the partial transpose of RHO_AI couples
+            ((0.0, A2FP2, RHO_AI[0, 3]), [-A2FM2, 0.5]),
+        ],
+        ids=["identity", "pauli_z", "coherence_block"],
+    )
+    def test_known_spectra(self, entries, want):
+        from hawkent.measures import _two_level_spectra
+
+        assert np.abs(_two_level_spectra(np.array(entries)) - want).max() <= 1e-12
+
+    @given(
+        st.floats(0, 1, allow_nan=False),
+        st.floats(-1, 1, allow_nan=False),
+        st.floats(-1, 1, allow_nan=False),
+    )
+    def test_matches_quadratic_formula(self, a, x, y):
+        # unit trace and positive semidefinite, as the Gram matrices and marginals it takes are
+        from hawkent.measures import _two_level_spectra
+
+        c = 1.0 - a
+        b = (x + 1.0j * y) * math.sqrt(a * c / 2.0)
+        disc = math.sqrt((a - c) ** 2 + 4.0 * abs(b) ** 2)
+        want = [(a + c - disc) / 2.0, (a + c + disc) / 2.0]
+        assert np.abs(_two_level_spectra(np.array([a, c, b])) - want).max() <= 1e-12
+
+    def test_keeps_the_leading_shape(self):
+        from hawkent.measures import _two_level_spectra
+
+        rng = np.random.default_rng(5)
+        entries = rng.uniform(0.1, 1.0, size=(3, 2, 3)) + 0.0j
+        entries[..., 2] *= np.exp(1.0j * rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))) / 4.0
+        got = _two_level_spectra(entries)
+        assert got.shape == (3, 2, 2)
+        for index in np.ndindex(3, 2):
+            assert np.array_equal(got[index], _two_level_spectra(entries[index]))
+
+
+class TestEigenFactor:
+    """The concurrence factor ``V sqrt(e)`` reproduces its state."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [np.eye(4) / 4.0, RHO_BELL, RHO_AI, RHO_III],
+        ids=["maximally_mixed", "bell", "A_I", "I_II"],
+    )
+    def test_reconstructs_the_state(self, rho):
+        from hawkent.measures import _eigen_factor
+
+        factor = _eigen_factor(*np.linalg.eigh(rho[None]))[0]
+        assert np.abs(factor @ factor.conj().T - rho).max() <= 1e-14
+
+    def test_rank_cut_zeros_the_dust(self):
+        from hawkent.measures import _eigen_factor
+
+        # the cut is 16 eps of the largest eigenvalue, 1.8e-15 here
+        evals = np.array([[-1e-17, 1e-15, 1e-14, 0.5]])
+        factor = _eigen_factor(evals, np.eye(4)[None])[0]
+        assert factor.tolist() == np.diag([0.0, 0.0, 1e-7, math.sqrt(0.5)]).tolist()
+
+    @given(COMPLEX_4X4)
+    def test_reconstruction_property(self, g):
+        from hawkent.measures import _eigen_factor
+
+        rho = _normalised(g)
+        factor = _eigen_factor(*np.linalg.eigh(rho[None]))[0]
+        assert np.abs(factor @ factor.conj().T - rho).max() <= 1e-10
