@@ -63,13 +63,15 @@ def _finite(x) -> bool:
         return False
 
 
-def check_params(alpha=None, omega=None, temperature=None) -> None:
+def check_params(alpha=None, omega=None, temperature=None) -> tuple[float | None, ...]:
     """Range check of the model parameters; a parameter left None is skipped.
 
     ``alpha`` must lie strictly inside (0, 1), ``omega`` must be positive
     and finite, ``temperature`` non-negative and finite, where finite
     means finite as a float.  Raises ValueError naming the first
-    parameter out of range.  NaN fails every comparison.
+    parameter out of range.  NaN fails every comparison.  Returns
+    ``(alpha, omega, temperature)`` as Python floats, each checked as
+    given and then taken by ``float()``; a skipped parameter is None.
     """
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
@@ -77,6 +79,7 @@ def check_params(alpha=None, omega=None, temperature=None) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if temperature is not None and not (0.0 <= temperature and _finite(temperature)):
         raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
+    return tuple([None if x is None else float(x) for x in (alpha, omega, temperature)])
 
 
 class ModePair(Enum):
@@ -94,7 +97,8 @@ class ModelParams:
     ``alpha`` is the initial superposition weight, strictly inside
     (0, 1); ``omega`` the mode frequency (> 0); ``temperature`` the
     Hawking temperature (>= 0, with 0 meaning the flat-space limit).
-    Only the ratio ``omega / temperature`` enters any measure.
+    Only the ratio ``omega / temperature`` enters any measure.  The
+    fields are stored as :func:`check_params` returns them.
     """
 
     alpha: float
@@ -102,7 +106,9 @@ class ModelParams:
     temperature: float
 
     def __post_init__(self):
-        check_params(self.alpha, self.omega, self.temperature)
+        checked = check_params(self.alpha, self.omega, self.temperature)
+        for name, value in zip(("alpha", "omega", "temperature"), checked):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _closed_forms(self) -> tuple[float, ...]:
@@ -165,7 +171,7 @@ def hawking_temperature(mass: float) -> float:
 
 
 def _weights(omega: float, temperature: float) -> tuple[float, float]:
-    """``(f-, f+)`` at an already checked ``(omega, T)``.
+    """``(f-, f+)`` at ``(omega, T)`` given as checked Python floats.
 
     At T = 0 the pair is exactly (1, 0).  Evaluated through ``x = w/T``
     so that large ratios underflow gracefully instead of overflowing.
@@ -183,12 +189,12 @@ def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     ``f- = (exp(-w/T) + 1)^(-1/2)`` and ``f+ = (exp(w/T) + 1)^(-1/2)``;
     at T = 0 the pair is exactly (1, 0).
     """
-    check_params(omega=omega, temperature=temperature)
+    _, omega, temperature = check_params(omega=omega, temperature=temperature)
     return ThermalFactors(*_weights(omega, temperature))
 
 
 def _weight_columns(points) -> np.ndarray:
-    """``(N, 8)`` block of checked ``(alpha, omega, T)`` points, from one pass.
+    """``(N, 8)`` block of ``(alpha, omega, T)`` points of checked Python floats, from one pass.
 
     The columns are alpha, omega, T, f-, f+, ``alpha**2``, ``f-**2`` and
     ``f+**2``.  The weights and squares are taken with Python floats:
@@ -306,10 +312,7 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     mutual information and min PT eigenvalue, each for A_I, A_II, I_II.
     This is the one-row view of the table a sweep evaluates, so the
     values are bit for bit a sweep's at the same point; for many points
-    a sweep is much cheaper per point than calls of this function.  The
-    point is not range-checked here; callers pass a
-    :class:`ModelParams` or a ``SweepSpec`` grid value, or call
-    :func:`check_params` first.
+    a sweep is much cheaper per point than calls of this function.
 
     Concurrence: A_I and A_II keep the pure-state value
     ``2 alpha sqrt(1-alpha^2)`` scaled by ``f-`` and ``f+``.  The I_II
@@ -328,7 +331,7 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     ``d`` to the coherence ``c`` moved off-axis by the transpose, giving
     the block eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
     """
-    return tuple(_closed_table([(alpha, omega, temperature)])[0, 3:].tolist())
+    return tuple(_closed_table([check_params(alpha, omega, temperature)])[0, 3:].tolist())
 
 
 def _closed_form(measure: int, params: ModelParams, pair: ModePair) -> float:
@@ -365,7 +368,7 @@ def asymptotic_limits(alpha: float) -> LimitReport:
     I_II pair reaches ``C = alpha^2`` and
     ``I = 2 H2(alpha^2 / 2) - H2(alpha^2)``.
     """
-    check_params(alpha=alpha)
+    alpha = check_params(alpha=alpha)[0]
     a2 = alpha * alpha
     b2 = 1.0 - a2
     h_a2, h_half = _binary_entropies(np.array([[a2, a2 / 2.0]], float))[0].tolist()

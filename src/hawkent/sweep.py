@@ -97,7 +97,7 @@ class SweepSpec:
 
     The field named by ``vary`` must be None; the other two must carry
     valid fixed values.  ``min``, ``max`` and the fixed values are
-    stored as the floats that were checked, and ``steps`` as an int.
+    stored as :func:`~hawkent.model.check_params` returns them, ``steps`` as an int.
     """
 
     vary: str
@@ -112,11 +112,10 @@ class SweepSpec:
     def __post_init__(self):
         if self.vary not in _VARIABLES:
             raise ValueError(f"vary must be one of {_VARIABLES}, got {self.vary!r}")
+        varied = _VARIABLES.index(self.vary)
         # the grid is ascending and each allowed range an interval, so its ends decide
-        check_params(**{self.vary: self.min})
-        check_params(**{self.vary: self.max})
-        object.__setattr__(self, "min", float(self.min))
-        object.__setattr__(self, "max", float(self.max))
+        for end in ("min", "max"):
+            object.__setattr__(self, end, check_params(**{self.vary: getattr(self, end)})[varied])
         if not self.min < self.max:
             raise ValueError(f"need min < max, got [{self.min!r}, {self.max!r}]")
         try:
@@ -132,14 +131,13 @@ class SweepSpec:
             raise ValueError(f"log scale needs min > 0, got {self.min!r}")
         if getattr(self, self.vary) is not None:
             raise ValueError(f"{self.vary} is the varied parameter and cannot also be fixed")
-        for name in _VARIABLES:
-            if name == self.vary:
+        for i, name in enumerate(_VARIABLES):
+            if i == varied:
                 continue
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"fixed parameter {name} is required when varying {self.vary}")
-            check_params(**{name: value})
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_params(**{name: value})[i])
 
 
 @dataclass(frozen=True)
@@ -259,8 +257,7 @@ def evaluate_point(
     sweep, as a batch of one; a gap above ``VERIFY_ATOL`` raises
     :class:`VerificationError` naming the point and the measure.
     """
-    check_params(alpha, omega, temperature)
-    return _rows([(alpha, omega, temperature)], verify)[0]
+    return _rows([check_params(alpha, omega, temperature)], verify)[0]
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:

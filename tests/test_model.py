@@ -1,5 +1,6 @@
 """Tests for the three-mode horizon state and its closed-form measures."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -627,8 +628,20 @@ class TestModelParamsValidation:
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            ModelParams(**kwargs)
+        with pytest.raises(ValueError) as checked:
+            check_params(**kwargs)
+        for entry_point in (ModelParams, closed_forms):
+            with pytest.raises(ValueError) as raised:
+                entry_point(**kwargs)
+            assert str(raised.value) == str(checked.value)
+
+    @pytest.mark.parametrize("name", ["alpha", "omega", "temperature"])
+    def test_str_parameter_is_a_type_error(self, name):
+        # the gate compares the value as given before float() could parse it
+        point = {"alpha": 0.5, "omega": 1.0, "temperature": 1.0, name: "0.5"}
+        for entry_point in (check_params, ModelParams, closed_forms, evaluate_point):
+            with pytest.raises(TypeError):
+                entry_point(**point)
 
     @pytest.mark.parametrize(
         "name, message",
@@ -651,12 +664,12 @@ class TestModelParamsValidation:
     def test_int_beyond_the_float_range_is_a_value_error(self, name, message):
         # such an int compares below math.inf, but float() of it overflows
         point = {"alpha": 0.5, "omega": 1.0, "temperature": 1.0, name: 10**400}
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as checked:
             check_params(**{name: 10**400})
-        with pytest.raises(ValueError, match=message):
-            ModelParams(**point)
-        with pytest.raises(ValueError, match=message):
-            evaluate_point(**point)
+        for entry_point in (ModelParams, closed_forms, evaluate_point):
+            with pytest.raises(ValueError) as raised:
+                entry_point(**point)
+            assert str(raised.value) == str(checked.value)
 
     def test_largest_float_is_in_range(self):
         check_params(omega=sys.float_info.max, temperature=sys.float_info.max)
@@ -665,10 +678,55 @@ class TestModelParamsValidation:
         # numpy would cast a bound of the largest float to float32, and overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check_params(alpha=np.float32(0.5), omega=np.float32(1.5), temperature=np.float32(0.0))
+            checked = check_params(
+                alpha=np.float32(0.5), omega=np.float32(1.5), temperature=np.float32(0.0)
+            )
+            assert checked == (0.5, 1.5, 0.0)
+            assert [type(x) for x in checked] == [float] * 3
+            assert check_params(omega=np.float32(1.5)) == (None, 1.5, None)
             assert hawking_temperature(np.float32(2.0)) > 0.0
             with pytest.raises(ValueError, match="omega"):
                 check_params(omega=np.float32("inf"))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_numpy_parameters_compute_as_their_float64_value(self, dtype):
+        # 0.6 and 0.7 are inexact in float16 and float32, so arithmetic in those types shows
+        given = (dtype(0.6), dtype(1.0), dtype(0.7))
+        exact = tuple(float(x) for x in given)
+
+        def assert_same(got, want):
+            assert [type(x) for x in got] == [float] * len(want)
+            assert np.array_equal(_bits(got), _bits(want))
+
+        assert_same(check_params(*given), exact)
+        params, reference = ModelParams(*given), ModelParams(*exact)
+        assert_same([params.alpha, params.omega, params.temperature], exact)
+        views = (
+            closed_form_concurrence,
+            closed_form_eof,
+            closed_form_mutual_information,
+            closed_form_min_pt_eigenvalue,
+        )
+        for pair in ModePair:
+            assert_same(
+                [view(params, pair) for view in views], [view(reference, pair) for view in views]
+            )
+            got = dataclasses.astuple(measure_set(reduced_density(params, pair)))
+            want = dataclasses.astuple(measure_set(reduced_density(reference, pair)))
+            assert np.array_equal(_bits(got), _bits(want))
+        assert_same(closed_forms(*given), closed_forms(*exact))
+        assert_same(evaluate_point(*given, verify=True), evaluate_point(*exact, verify=True))
+        assert_same(
+            dataclasses.astuple(thermal_factors(*given[1:])),
+            dataclasses.astuple(thermal_factors(*exact[1:])),
+        )
+        report, want = asymptotic_limits(given[0]), asymptotic_limits(exact[0])
+        assert_same([report.alpha], [want.alpha])
+        for limit in ("zero_temperature", "infinite_temperature"):
+            assert_same(
+                dataclasses.astuple(getattr(report, limit)),
+                dataclasses.astuple(getattr(want, limit)),
+            )
 
     def test_accepts_boundary_temperature(self):
         assert ModelParams(0.5, 1.0, 0.0).temperature == 0.0
