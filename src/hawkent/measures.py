@@ -456,7 +456,9 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 def mutual_information(rho: DensityMatrix) -> float:
     """``S(rho_1) + S(rho_2) - S(rho_12)`` of a two-qubit state, in bits.
 
-    Non-negative and at most 2 bits.
+    At most 2 bits, and non-negative up to rounding: a product state
+    reads O(1e-14) on either side of 0, often below it, and no clamp
+    is applied.
     """
     return measure_set(rho).mutual_information
 

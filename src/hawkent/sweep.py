@@ -22,15 +22,19 @@ reads a closed-form value or weight, and the emitted values are the
 closed forms either way.
 
 Each emitter renders a sweep once.  One ``%`` call on a template of all
-the lines renders every cell with 12 significant digits (``-0.0``
-printed as ``0.0``); CSV writes those lines as they are.  JSON reads
-each value's text off its cell with string operations, falling back to
+the lines renders every cell with 12 significant digits, and one text
+replace on the result folds ``-0.0`` into ``0.0`` (see :func:`_render`).
+CSV writes those lines as they are.  JSON reads each value's text off
+its cell with string operations, falling back to
 ``json.dumps(float(cell))`` only for the few cells whose shortest repr
 does not follow from the cell's text (see :func:`_json_values`), and
 fills one template of all the records, in the ``indent=1`` layout, in
 one more ``%`` call.  Every JSON value is therefore the exact value of
-its CSV cell.  :func:`format_number` renders single values with the
-same cell format, for the CLI's text reports.
+its CSV cell.  The head, the config echo, is one module-level template
+in the same layout, keyed by the fields of :class:`SweepSpec` and then
+``format``, ``out``, ``verify`` and ``mass``; each value is filled in
+as ``json.dumps`` writes it.  :func:`format_number` renders single
+values with the same cell format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from __future__ import annotations
 import json
 import operator
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from typing import IO
 
@@ -172,17 +177,37 @@ class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for 
         return tuple(self)
 
 
+# a row from 15 values in C, without _make's Python-level length check
+_new_row = partial(tuple.__new__, SweepRow)
+
 # 12 significant digits, trailing zeros kept
 _CELL = "%#.12g"
 # one element of the JSON rows array, as json.dump(..., indent=1) lays it out
 _JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n  }"
+# the JSON head up to the rows array, with and without a config echo, in the same layout
+_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
+_spec_values = operator.attrgetter(*_SPEC_FIELDS)
+_ECHO_KEYS = (*_SPEC_FIELDS, "format", "out", "verify", "mass")
+_JSON_HEAD = '{\n "config": {\n' + ",\n".join(f"  {json.dumps(k)}: %s" for k in _ECHO_KEYS) + '\n },\n "rows": '
+_JSON_HEAD_NO_CONFIG = '{\n "config": null,\n "rows": '
 
 
 def _render(template: str, values: tuple) -> str:
-    """``template % values`` with every ``-0.0`` printed as ``0.0``."""
-    if 0.0 in values:  # also true for -0.0; v + 0.0 is v except that -0.0 becomes 0.0
-        values = tuple([v + 0.0 for v in values])
-    return template % values
+    """``template % values`` with every ``-0.0`` printed as ``0.0``.
+
+    Under ``%#.12g`` only ``-0.0`` renders as ``-0.00000000000``: a
+    nonzero value below 1e-4 takes exponent form, and from 1e-4 up a
+    nonzero digit comes by the fifth decimal place.
+    """
+    return (template % values).replace("-0.00000000000", "0.00000000000")
+
+
+def _echo_value(value) -> str:
+    """``value`` as ``json.dump(..., indent=1)`` writes it two levels deep."""
+    text = json.dumps(value)  # the C encoder, which writes a scalar as the indenting one does
+    if text[0] in "[{":  # a container is laid out over lines only by the indenting encoder
+        text = json.dumps(value, indent=1).replace("\n", "\n  ")
+    return text
 
 
 def format_number(x: float) -> str:
@@ -243,7 +268,7 @@ def _rows(points, verify: bool) -> list[SweepRow]:
     table = _closed_table(points)
     if verify:
         _verify(table)
-    return list(map(SweepRow._make, table.tolist()))
+    return list(map(_new_row, table.tolist()))
 
 
 def evaluate_point(
@@ -342,23 +367,23 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
     The bytes are those of ``json.dump(payload, stream, indent=1)``
     plus a newline, where ``payload`` holds the config echo (or None)
     and, for each row, an object from column name to ``float()`` of the
-    row's CSV cell, so the two formats agree exactly.  Each value's text
-    is read off its cell (see :func:`_json_values`), and one ``%`` call
-    fills the records of all rows.  NaN and infinities keep ``json``'s
-    spelling.  Rows of the wrong width raise ``ValueError`` before
-    anything is written.
+    row's CSV cell, so the two formats agree exactly.  The echo fills
+    one template (see the module docstring), so a value ``json`` cannot
+    encode raises its ``TypeError`` before anything is written.  Each
+    row value's text is read off its cell (see :func:`_json_values`),
+    and one ``%`` call fills the records of all rows.  NaN and
+    infinities keep ``json``'s spelling.  Rows of the wrong width raise
+    ``ValueError`` before anything is written.
     """
     lines = _render_lines(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
-    echo = None if config is None else {
-        **asdict(config.sweep),
-        "format": config.output_format,
-        "out": config.out,
-        "verify": config.verify,
-        "mass": config.mass,
-    }
-    text = json.dumps({"config": echo, "rows": []}, indent=1)
-    if lines:
-        cells = lines[:-1].replace("\n", ",").split(",")
-        records = ",\n".join([_JSON_RECORD] * lines.count("\n")) % tuple(_json_values(cells))
-        text = text.removesuffix("[]\n}") + "[\n" + records + "\n ]\n}"
-    stream.write(text + "\n")
+    if config is None:
+        head = _JSON_HEAD_NO_CONFIG
+    else:
+        echo = (*_spec_values(config.sweep), config.output_format, config.out, config.verify, config.mass)
+        head = _JSON_HEAD % tuple(map(_echo_value, echo))
+    if not lines:
+        stream.write(head + "[]\n}\n")
+        return
+    cells = lines[:-1].replace("\n", ",").split(",")
+    records = ",\n".join([_JSON_RECORD] * (len(cells) // len(CSV_COLUMNS))) % tuple(_json_values(cells))
+    stream.write(head + "[\n" + records + "\n ]\n}\n")

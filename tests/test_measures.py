@@ -269,6 +269,19 @@ class TestMutualInformation:
         rho = np.kron(np.diag([0.3, 0.7]), np.array([[0.6, 0.1], [0.1, 0.4]]))
         assert abs(mutual_information(_state(rho))) <= 1e-12
 
+    def test_random_product_states_read_zero_up_to_rounding(self):
+        # Measured on 240000 seeded product states, 60000 for each pair of marginal
+        # ranks: -3.5e-14 to +1.5e-14, most below 0, pure marginals the widest; 20000
+        # more with pure marginals reached -4.3e-14.  No clamp: the sign stays as computed.
+        rng = np.random.default_rng(20261019)
+        values = []
+        for k in range(400):
+            p, q = (rng.normal(size=(2, r)) + 1.0j * rng.normal(size=(2, r)) for r in (1 + k % 2, 1 + k // 2 % 2))
+            p, q = p @ p.conj().T, q @ q.conj().T
+            values.append(mutual_information(_state(np.kron(p / p.trace().real, q / q.trace().real))))
+        assert max(map(abs, values)) <= 5e-14
+        assert min(values) < 0.0 < max(values)
+
     def test_bell_state(self):
         assert abs(mutual_information(_state(RHO_BELL)) - 2.0) <= 1e-12
 

@@ -401,22 +401,80 @@ EDGE_CONFIGS = {
     "none": None,
     "sweep": _config(),
     "escaped_out": _config(output_format="json", out='a "q" \\ b\nc \u00e9\u2603', mass=1e-300),
+    # each varied parameter leaves a different fixed field None
+    "alpha_sweep": _config(SweepSpec(vary="alpha", min=0.1, max=0.9, steps=5, omega=1.0, temperature=0.5)),
+    "omega_sweep": _config(
+        SweepSpec(vary="omega", min=0.5, max=4.0, steps=4, scale="log", alpha=0.3, temperature=1.0)
+    ),
+    "unverified_mass": _config(verify=False, mass=2.5),
+    # outside the declared float, but accepted: json.dump lays a container out over lines
+    "container_mass": _config(mass=[1.0, {"a": [], "b": [2]}, []]),
+    # json cannot encode it: the same TypeError, raised before anything is written
+    "float32_mass": _config(mass=np.float32(1.0)),
 }
 
 
+def _read_off_rows():
+    """Rows of 20000 random finite doubles and the cells at every notation and exponent edge."""
+    rng = random.Random(18)
+    finite = []
+    while len(finite) < 20000:  # uniform by bit pattern: every binade and the subnormals alike
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            finite.append(value)
+    decades = []
+    for k in range(-310, 18):
+        value = float(f"1e{k}")
+        decades += [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
+    # subnormals of every mantissa length, down to the smallest: their repr may be shorter
+    subnormals = [
+        struct.unpack("<d", rng.getrandbits(k).to_bytes(8, "little"))[0] for k in range(1, 53) for _ in range(10)
+    ]
+    # the 12-digit rounding of each crosses into the next notation or exponent
+    crossing = [9.999999999995e11, 9.99999999999995e-5, 9999999999999995.0]
+    integers = [float(n) for n in (1, 7, 10, 123, 100000000000, 999999999999, 10**12, 10**15, 10**16)]
+    extremes = [0.0, -0.0, sys.float_info.max, -sys.float_info.max]
+    cells = [sign * v for v in decades + subnormals + crossing + integers for sign in (1.0, -1.0)]
+    cells += finite + extremes
+    width = len(CSV_COLUMNS)
+    cells += [0.5] * (-len(cells) % width)
+    return [tuple(cells[i:i + width]) for i in range(0, len(cells), width)]
+
+
+READ_OFF_ROWS = _read_off_rows()
+CSV_ROW_SETS = {**EDGE_ROW_SETS, "read_off": READ_OFF_ROWS}
+
+
 class TestEmissionBytes:
-    @pytest.mark.parametrize("rows", EDGE_ROW_SETS.values(), ids=EDGE_ROW_SETS.keys())
+    @pytest.mark.parametrize("rows", CSV_ROW_SETS.values(), ids=CSV_ROW_SETS.keys())
     def test_csv_matches_per_cell_rendering(self, rows):
         out = io.StringIO()
         emit_csv(rows, out)
-        assert out.getvalue() == _old_csv(rows)
+        # lines with their endings, so a changed or missing line terminator fails too
+        got, want = out.getvalue().splitlines(keepends=True), _old_csv(rows).splitlines(keepends=True)
+        assert len(got) == len(want)
+        differ = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not differ, f"{len(differ)} lines differ, first: {differ[:3]}"
 
     @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
     @pytest.mark.parametrize("rows", EDGE_ROW_SETS.values(), ids=EDGE_ROW_SETS.keys())
     def test_json_matches_json_dump(self, rows, config):
         out = io.StringIO()
+        try:
+            want = _old_json(rows, config)
+        except TypeError as exc:
+            with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+                emit_json(rows, out, config)
+            assert out.getvalue() == ""
+            return
         emit_json(rows, out, config)
-        assert out.getvalue() == _old_json(rows, config)
+        assert out.getvalue() == want
+
+    def test_json_head_keys_follow_the_dataclasses(self):
+        out = io.StringIO()
+        emit_json([], out, _config())
+        keys = [f.name for f in dataclasses.fields(SweepSpec)] + ["format", "out", "verify", "mass"]
+        assert list(json.loads(out.getvalue())["config"]) == keys
 
     def test_exponent_cell_keeps_its_json_spelling(self):
         rows = [(123456789012345.0,) * len(CSV_COLUMNS)]
@@ -445,32 +503,9 @@ class TestEmissionBytes:
         assert out.getvalue() == ""
 
     def test_json_values_are_read_off_their_cells_exactly(self):
-        rng = random.Random(18)
-        finite = []
-        while len(finite) < 20000:  # uniform by bit pattern: every binade and the subnormals alike
-            value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
-            if math.isfinite(value):
-                finite.append(value)
-        decades = []
-        for k in range(-310, 18):
-            value = float(f"1e{k}")
-            decades += [math.nextafter(value, 0.0), value, math.nextafter(value, math.inf)]
-        # subnormals of every mantissa length, down to the smallest: their repr may be shorter
-        subnormals = [
-            struct.unpack("<d", rng.getrandbits(k).to_bytes(8, "little"))[0] for k in range(1, 53) for _ in range(10)
-        ]
-        # the 12-digit rounding of each crosses into the next notation or exponent
-        crossing = [9.999999999995e11, 9.99999999999995e-5, 9999999999999995.0]
-        integers = [float(n) for n in (1, 7, 10, 123, 100000000000, 999999999999, 10**12, 10**15, 10**16)]
-        extremes = [0.0, -0.0, sys.float_info.max, -sys.float_info.max]
-        cells = [sign * v for v in decades + subnormals + crossing + integers for sign in (1.0, -1.0)]
-        cells += finite + extremes
-        width = len(CSV_COLUMNS)
-        cells += [0.5] * (-len(cells) % width)
-        rows = [tuple(cells[i:i + width]) for i in range(0, len(cells), width)]
         out = io.StringIO()
-        emit_json(rows, out)
-        got, want = out.getvalue().splitlines(), _old_json(rows, None).splitlines()
+        emit_json(READ_OFF_ROWS, out)
+        got, want = out.getvalue().splitlines(keepends=True), _old_json(READ_OFF_ROWS, None).splitlines(keepends=True)
         assert len(got) == len(want)
         differ = [(g, w) for g, w in zip(got, want) if g != w]
         assert not differ, f"{len(differ)} lines differ, first: {differ[:3]}"
