@@ -5,13 +5,15 @@ over one parameter, CSV or JSON), ``figure`` (canned temperature-sweep
 tables of one measure family), ``limits`` (both temperature extremes).
 
 argparse checks only syntax and passes raw floats and integers on.
-Each value is range-checked once, by the library: ``check_params``
+Each value is range-checked by the library alone: ``check_params``
 (through ``evaluate_point``, ``SweepSpec`` and ``asymptotic_limits``)
 for alpha, omega and the temperature, ``hawking_temperature`` for the
-mass, ``SweepSpec`` for the grid.  Every invalid value exits with
-code 2, usage text and the library's message, before any output is
-written.  Each subcommand's handler returns its text, and ``main``
-writes it once, to ``--out`` or to stdout.
+mass, ``SweepSpec`` for the grid, and ``RunConfig`` for a sweep's
+emission settings, whose mass it passes to ``hawking_temperature``.
+Every invalid value exits with code 2, usage text and the library's
+message, before any output is written.  Each subcommand's handler
+returns its text, and ``main`` writes it once, to ``--out`` or to
+stdout.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 closed-form
 vs spectral verification failure, 4 output write failure.
@@ -40,7 +42,7 @@ from .sweep import (
     run_sweep,
 )
 
-__all__ = ["build_parser", "parse_args", "figure_command", "limits_command", "main"]
+__all__ = ["build_parser", "figure_command", "limits_command", "main"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 3
@@ -146,7 +148,7 @@ def _cmd_measure(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_config(args) -> RunConfig:
+def _cmd_sweep(args) -> str:
     temperature = _fixed_temperature(
         args.temperature, args.mass, required=args.vary != "temperature"
     )
@@ -160,35 +162,13 @@ def _sweep_config(args) -> RunConfig:
         omega=args.omega,
         temperature=temperature,
     )
-    return RunConfig(
+    config = RunConfig(
         sweep=spec,
         output_format=args.format,
         out=args.out,
         verify=args.verify == "on",
         mass=args.mass,
     )
-
-
-def parse_args(argv) -> RunConfig:
-    """Parse a ``sweep`` invocation into a validated RunConfig.
-
-    Any invalid flag or value exits with code 2 and usage text, as on
-    the command line: argparse rejects bad syntax, and the library's
-    own checks (``SweepSpec``, ``check_params``, ``hawking_temperature``)
-    reject bad values with their messages.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "sweep":
-        parser.error(f"expected a sweep invocation, got {args.command!r}")
-    try:
-        return _sweep_config(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _cmd_sweep(args) -> str:
-    config = _sweep_config(args)
     rows = run_sweep(config)
     text = io.StringIO()
     if config.output_format == "json":

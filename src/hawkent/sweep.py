@@ -33,8 +33,11 @@ one more ``%`` call.  Every JSON value is therefore the exact value of
 its CSV cell.  The head, the config echo, is one module-level template
 in the same layout, keyed by the fields of :class:`SweepSpec` and then
 ``format``, ``out``, ``verify`` and ``mass``; each value is filled in
-as ``json.dumps`` writes it.  :func:`format_number` renders single
-values with the same cell format, for the CLI's text reports.
+as ``json.dumps`` writes it.  The gates of :class:`SweepSpec` and
+:class:`RunConfig` leave only strings, finite floats, ints, bools and
+None there, which ``json.dumps`` writes as the ``indent=1`` layout
+does.  :func:`format_number` renders single values with the same cell
+format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import IO
 import numpy as np
 
 from .measures import _factor_measures
-from .model import ModePair, _amplitudes, _closed_table, _pair_factors, check_params
+from .model import ModePair, _amplitudes, _closed_table, _pair_factors, check_params, hawking_temperature
 
 __all__ = [
     "CSV_COLUMNS",
@@ -147,10 +150,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A sweep plus emission settings.
+    """A sweep plus emission settings, each field checked when the config is built.
 
-    ``mass`` records the black-hole mass when the fixed temperature was
-    derived from one; it is informational and echoed into JSON output.
+    ``sweep`` must be a :class:`SweepSpec`, ``output_format`` ``'csv'``
+    or ``'json'``, ``out`` None or a ``str``, and ``verify`` a bool (a
+    numpy bool is stored as a Python bool); a bad field raises
+    ``ValueError`` naming it.  ``mass`` records the black-hole mass when
+    the fixed temperature was derived from one; it is informational and
+    echoed into JSON output.  It must be None or a mass that
+    :func:`~hawkent.model.hawking_temperature` accepts, which raises its
+    own error otherwise, and is stored as a Python float.
     """
 
     sweep: SweepSpec
@@ -160,8 +169,18 @@ class RunConfig:
     mass: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.sweep, SweepSpec):
+            raise ValueError(f"sweep must be a SweepSpec, got {self.sweep!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be None or a str, got {self.out!r}")
+        if not isinstance(self.verify, (bool, np.bool_)):
+            raise ValueError(f"verify must be a bool, got {self.verify!r}")
+        object.__setattr__(self, "verify", bool(self.verify))
+        if self.mass is not None:
+            hawking_temperature(self.mass)
+            object.__setattr__(self, "mass", float(self.mass))
 
 
 class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for c in CSV_COLUMNS])):
@@ -202,14 +221,6 @@ def _render(template: str, values: tuple) -> str:
     return (template % values).replace("-0.00000000000", "0.00000000000")
 
 
-def _echo_value(value) -> str:
-    """``value`` as ``json.dump(..., indent=1)`` writes it two levels deep."""
-    text = json.dumps(value)  # the C encoder, which writes a scalar as the indenting one does
-    if text[0] in "[{":  # a container is laid out over lines only by the indenting encoder
-        text = json.dumps(value, indent=1).replace("\n", "\n  ")
-    return text
-
-
 def format_number(x: float) -> str:
     """Render a float with 12 significant digits."""
     return _render(_CELL, (x,))
@@ -229,11 +240,13 @@ def _check_amplitudes(table: np.ndarray) -> np.ndarray:
     Unruh-mode vacuum, ``r = atan(exp(-w / (2T)))``, as ``f- = cos r``
     and ``f+ = sin r``, computed in numpy over the ``(alpha, omega, T)``
     columns: a different path from the libm weights of the closed
-    forms.  At T = 0, ``w / (2T)`` is ``inf``, so ``r`` is exactly 0.
+    forms.  The exponent is taken as ``(w / T) / 2``, as ``2T`` would
+    overflow for T above about 9e307.  At T = 0, ``w / T`` is ``inf``,
+    so ``r`` is exactly 0.
     """
     alpha, omega, temperature = table[:, :3].T
     with np.errstate(divide="ignore", over="ignore"):
-        angle = np.arctan(np.exp(-omega / (2.0 * temperature)))
+        angle = np.arctan(np.exp(-(omega / temperature) / 2.0))
     return _amplitudes(alpha, np.cos(angle), np.sin(angle), alpha * alpha)
 
 
@@ -368,19 +381,18 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
     plus a newline, where ``payload`` holds the config echo (or None)
     and, for each row, an object from column name to ``float()`` of the
     row's CSV cell, so the two formats agree exactly.  The echo fills
-    one template (see the module docstring), so a value ``json`` cannot
-    encode raises its ``TypeError`` before anything is written.  Each
-    row value's text is read off its cell (see :func:`_json_values`),
-    and one ``%`` call fills the records of all rows.  NaN and
-    infinities keep ``json``'s spelling.  Rows of the wrong width raise
-    ``ValueError`` before anything is written.
+    one template (see the module docstring).  Each row value's text is
+    read off its cell (see :func:`_json_values`), and one ``%`` call
+    fills the records of all rows.  NaN and infinities keep ``json``'s
+    spelling.  Rows of the wrong width raise ``ValueError`` before
+    anything is written.
     """
     lines = _render_lines(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
     if config is None:
         head = _JSON_HEAD_NO_CONFIG
     else:
         echo = (*_spec_values(config.sweep), config.output_format, config.out, config.verify, config.mass)
-        head = _JSON_HEAD % tuple(map(_echo_value, echo))
+        head = _JSON_HEAD % tuple(map(json.dumps, echo))
     if not lines:
         stream.write(head + "[]\n}\n")
         return

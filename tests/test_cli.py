@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import hawkent.model
-from hawkent.cli import figure_command, limits_command, main, parse_args
+from hawkent.cli import figure_command, limits_command, main
 from hawkent.model import ModePair, _closed_table, hawking_temperature
-from hawkent.sweep import CSV_COLUMNS, RunConfig, evaluate_point, format_number
+from hawkent.sweep import CSV_COLUMNS, evaluate_point, format_number
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -162,6 +162,21 @@ class TestParserValidation:
             SWEEP_ARGS + ["--max", "inf"],
             SWEEP_ARGS + ["--alpha", "1.5"],
             SWEEP_ARGS + ["--mass", "1"],
+            # min above max is caught by the sweep validator, not argparse
+            ["sweep", "--vary", "temperature", "--min", "10", "--max", "0.1",
+             "--steps", "5", "--alpha", "0.5", "--omega", "1"],
+            # varied parameter also given as fixed
+            SWEEP_ARGS + ["--temperature", "1"],
+            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
+             "--alpha", "0.5", "--omega", "1", "--temperature", "1"],
+            # missing fixed parameters
+            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
+             "--omega", "1"],
+            ["sweep", "--vary", "temperature", "--min", "0.1", "--max", "1", "--steps", "5",
+             "--alpha", "0.5"],
+            # alpha grid leaving (0, 1)
+            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "1.0", "--steps", "5",
+             "--omega", "1", "--temperature", "1"],
             ["figure", "1", "--max", "0.005"],
             ["figure", "2", "--alpha", "nan"],
             ["figure", "3", "--steps", "1"],
@@ -174,74 +189,6 @@ class TestParserValidation:
         assert exc.value.code == 2
         assert not target.exists()
         assert capsys.readouterr().out == ""
-
-
-class TestParseArgs:
-    def test_basic_sweep(self):
-        config = parse_args(SWEEP_ARGS)
-        assert isinstance(config, RunConfig)
-        assert config.sweep.vary == "temperature"
-        assert config.sweep.min == 0.01
-        assert config.sweep.max == 10.0
-        assert config.sweep.steps == 20
-        assert config.sweep.scale == "linear"
-        assert config.sweep.alpha == 0.5
-        assert config.sweep.omega == 1.0
-        assert config.sweep.temperature is None
-        assert config.output_format == "csv"
-        assert config.out is None
-        assert config.verify is True
-        assert config.mass is None
-
-    def test_all_options(self, tmp_path):
-        target = str(tmp_path / "rows.json")
-        config = parse_args([
-            "sweep", "--vary", "omega", "--min", "0.5", "--max", "5", "--steps", "9",
-            "--scale", "log", "--alpha", "0.3", "--temperature", "2",
-            "--format", "json", "--out", target, "--verify", "off",
-        ])
-        assert config.sweep.vary == "omega"
-        assert config.sweep.scale == "log"
-        assert config.sweep.temperature == 2.0
-        assert config.output_format == "json"
-        assert config.out == target
-        assert config.verify is False
-
-    def test_mass_resolves_fixed_temperature(self):
-        config = parse_args([
-            "sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
-            "--omega", "1", "--mass", "1",
-        ])
-        assert config.mass == 1.0
-        assert config.sweep.temperature == pytest.approx(hawking_temperature(1.0), rel=1e-15)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # min above max is caught by the sweep validator, not argparse
-            ["sweep", "--vary", "temperature", "--min", "10", "--max", "0.1",
-             "--steps", "5", "--alpha", "0.5", "--omega", "1"],
-            # varied parameter also given as fixed
-            SWEEP_ARGS + ["--temperature", "1"],
-            SWEEP_ARGS + ["--mass", "1"],
-            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
-             "--alpha", "0.5", "--omega", "1", "--temperature", "1"],
-            # missing fixed parameters
-            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
-             "--omega", "1"],
-            ["sweep", "--vary", "temperature", "--min", "0.1", "--max", "1", "--steps", "5",
-             "--alpha", "0.5"],
-            # alpha grid leaving (0, 1)
-            ["sweep", "--vary", "alpha", "--min", "0.1", "--max", "1.0", "--steps", "5",
-             "--omega", "1", "--temperature", "1"],
-            # measure is not a sweep
-            ["measure", "--alpha", "0.5", "--omega", "1", "--temperature", "1"],
-        ],
-    )
-    def test_invalid_sweeps_exit_2(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(argv)
-        assert exc.value.code == 2
 
 
 class TestSweepCommand:
@@ -262,13 +209,35 @@ class TestSweepCommand:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8") == stdout_text
 
-    def test_json_output(self, capsys):
-        code = main(SWEEP_ARGS + ["--format", "json"])
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (SWEEP_ARGS, dict(vary="temperature", min=0.01, max=10.0, steps=20, scale="linear",
+                              alpha=0.5, omega=1.0, temperature=None, verify=True, mass=None)),
+            (["sweep", "--vary", "omega", "--min", "0.5", "--max", "5", "--steps", "9",
+              "--scale", "log", "--alpha", "0.3", "--temperature", "2", "--verify", "off"],
+             dict(vary="omega", min=0.5, max=5.0, steps=9, scale="log",
+                  alpha=0.3, omega=None, temperature=2.0, verify=False, mass=None)),
+            # the mass resolves the fixed temperature
+            (["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
+              "--omega", "1", "--mass", "1"],
+             dict(vary="alpha", min=0.1, max=0.9, steps=5, scale="linear",
+                  alpha=None, omega=1.0, temperature=hawking_temperature(1.0), verify=True, mass=1.0)),
+        ],
+        ids=["basic", "all_options", "mass"],
+    )
+    def test_json_output(self, argv, echo, capsys, tmp_path):
+        target = str(tmp_path / "rows.json")
+        code = main(argv + ["--format", "json", "--out", target])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["format"] == "json"
-        assert payload["config"]["vary"] == "temperature"
-        assert len(payload["rows"]) == 20
+        assert capsys.readouterr().out == ""
+        with open(target, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        keys = ["vary", "min", "max", "steps", "scale", "alpha", "omega", "temperature",
+                "format", "out", "verify", "mass"]
+        want = {**echo, "format": "json", "out": target}
+        assert list(payload["config"].items()) == [(key, want[key]) for key in keys]
+        assert len(payload["rows"]) == echo["steps"]
         assert list(payload["rows"][0]) == list(CSV_COLUMNS)
 
     def test_fixed_zero_temperature(self, capsys):
