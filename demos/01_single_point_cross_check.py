@@ -4,8 +4,12 @@ Prepare the three-mode state at alpha^2 = 0.5 and a Hawking
 temperature equal to the mode frequency, then compute every pairwise
 measure twice: once from the closed forms, once through the generic
 spectral pipeline (each pair state built as ``L L^dagger`` from a factor
-of the amplitudes, then eigendecompositions).  The two columns agree to
-machine precision.
+of the amplitudes, then eigendecompositions).  The routes share no
+thermal weight: the closed forms take ``f-`` and ``f+`` from libm (the
+values printed below), while the state's amplitudes take them from the
+Bogoliubov angle ``r = atan(exp(-w/(2T)))`` as ``cos r`` and ``sin r``.
+So the two columns agree to machine precision only if both the
+closed-form algebra and the thermal weights are right.
 """
 
 import math

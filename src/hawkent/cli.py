@@ -9,7 +9,7 @@ Each value is range-checked by the library alone: ``check_params``
 (through ``evaluate_point``, ``SweepSpec`` and ``asymptotic_limits``)
 for alpha, omega and the temperature, ``hawking_temperature`` for the
 mass, ``SweepSpec`` for the grid, and ``RunConfig`` for a sweep's
-emission settings, whose mass it passes to ``hawking_temperature``.
+emission settings, whose mass it ties to the sweep's temperature.
 Every invalid value exits with code 2, usage text and the library's
 message, before any output is written.  Each subcommand's handler
 returns its text, and ``main`` writes it once, to ``--out`` or to

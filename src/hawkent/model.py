@@ -19,6 +19,9 @@ and ``w/T``.  The closed forms are exposed alongside the generic
 spectral route (the measures in :mod:`hawkent.measures` of each pair
 state ``L L^dagger``), so the two can be cross-checked at any
 parameter point; the sweep driver does exactly that in verify mode.
+The routes share no thermal weight: the closed forms take theirs from
+libm, every spectral route from the Bogoliubov angle in the one state
+builder, :func:`_amplitudes`, so a wrong weight shows as a gap.
 """
 
 from __future__ import annotations
@@ -63,23 +66,27 @@ def _finite(x) -> bool:
         return False
 
 
-def check_params(alpha=None, omega=None, temperature=None) -> tuple[float | None, ...]:
-    """Range check of the model parameters; a parameter left None is skipped.
+_SKIPPED = object()  # the default of a parameter left out; an explicit None is checked
+
+
+def check_params(alpha=_SKIPPED, omega=_SKIPPED, temperature=_SKIPPED) -> tuple[float | None, ...]:
+    """Range check of the model parameters; a parameter left out is skipped.
 
     ``alpha`` must lie strictly inside (0, 1), ``omega`` must be positive
     and finite, ``temperature`` non-negative and finite, where finite
     means finite as a float.  Raises ValueError naming the first
-    parameter out of range.  NaN fails every comparison.  Returns
-    ``(alpha, omega, temperature)`` as Python floats, each checked as
-    given and then taken by ``float()``; a skipped parameter is None.
+    parameter out of range.  NaN fails every comparison, and None or a
+    ``str`` raises TypeError.  Returns ``(alpha, omega, temperature)``
+    as Python floats, each checked as given and then taken by
+    ``float()``; a skipped parameter is None.
     """
-    if alpha is not None and not 0.0 < alpha < 1.0:
+    if alpha is not _SKIPPED and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if omega is not None and not (0.0 < omega and _finite(omega)):
+    if omega is not _SKIPPED and not (0.0 < omega and _finite(omega)):
         raise ValueError(f"omega must be positive and finite, got {omega!r}")
-    if temperature is not None and not (0.0 <= temperature and _finite(temperature)):
+    if temperature is not _SKIPPED and not (0.0 <= temperature and _finite(temperature)):
         raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
-    return tuple([None if x is None else float(x) for x in (alpha, omega, temperature)])
+    return tuple([None if x is _SKIPPED else float(x) for x in (alpha, omega, temperature)])
 
 
 class ModePair(Enum):
@@ -193,37 +200,29 @@ def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     return ThermalFactors(*_weights(omega, temperature))
 
 
-def _weight_columns(points) -> np.ndarray:
-    """``(N, 8)`` block of ``(alpha, omega, T)`` points of checked Python floats, from one pass.
+def _amplitudes(alpha, omega, temperature) -> np.ndarray:
+    """``(N, 8)`` amplitudes of ``|psi>`` from ``(N,)`` arrays of alpha, omega and T.
 
-    The columns are alpha, omega, T, f-, f+, ``alpha**2``, ``f-**2`` and
-    ``f+**2``.  The weights and squares are taken with Python floats:
-    numpy's ``exp`` and ``a**2`` differ from libm's in the last bit on
-    some arguments, and a point's values must not depend on its batch.
+    The one builder of the state, and so of every spectral route.  Each
+    point's thermal weights come from the Bogoliubov angle of the
+    Unruh-mode vacuum, ``r = atan(exp(-w / (2T)))``, as ``f- = cos r``
+    and ``f+ = sin r``, computed in numpy: a different path from the
+    libm weights of the closed forms.  The exponent is taken as
+    ``(w / T) / 2``, as ``2T`` would overflow for T above about 9e307.
+    At T = 0, ``w / T`` is ``inf``, so ``r`` is exactly 0.
     """
-    columns = []
-    for alpha, omega, temperature in points:
-        f_minus, f_plus = _weights(omega, temperature)
-        columns.append(
-            (alpha, omega, temperature, f_minus, f_plus, alpha**2, f_minus**2, f_plus**2)
-        )
-    cells = itertools.chain.from_iterable(columns)
-    return np.fromiter(cells, float, 8 * len(columns)).reshape(-1, 8)
-
-
-def _amplitudes(alpha, f_minus, f_plus, alpha_squared) -> np.ndarray:
-    """``(N, 8)`` amplitude vectors from ``(N,)`` columns of alpha, f-, f+ and alpha^2."""
+    with np.errstate(divide="ignore", over="ignore"):
+        angle = np.arctan(np.exp(-(omega / temperature) / 2.0))
     amplitudes = np.zeros((len(alpha), 8))
-    amplitudes[:, 0] = alpha * f_minus  # |000>
-    amplitudes[:, 3] = alpha * f_plus  # |011>
-    amplitudes[:, 6] = np.sqrt(1.0 - alpha_squared)  # |110>
+    amplitudes[:, 0] = alpha * np.cos(angle)  # |000>
+    amplitudes[:, 3] = alpha * np.sin(angle)  # |011>
+    amplitudes[:, 6] = np.sqrt(1.0 - alpha * alpha)  # |110>
     return amplitudes
 
 
 def tripartite_state(params: ModelParams) -> np.ndarray:
-    """Amplitude vector of ``|psi>`` in the ``4m + 2n + p`` basis."""
-    weights = _weight_columns([(params.alpha, params.omega, params.temperature)])
-    return _amplitudes(*weights[:, [0, 3, 4, 5]].T)[0]
+    """Amplitude vector of ``|psi>`` in the ``4m + 2n + p`` basis; see :func:`_amplitudes`."""
+    return _amplitudes(*np.array([[params.alpha], [params.omega], [params.temperature]]))[0]
 
 
 # Basis index ``4m + 2n + p`` of each entry of the A_I, A_II and I_II factors:
@@ -264,13 +263,21 @@ def _closed_table(points) -> np.ndarray:
 
     Returns the ``(N, 15)`` table of rows in the order of the sweep's
     CSV columns, each point followed by the twelve closed forms of
-    :func:`closed_forms`, from one :func:`_weight_columns` pass.  Each
-    closed form is one numpy expression over the columns.
-    numpy runs only ``+ - * /`` and ``sqrt``, which are correctly
-    rounded, in the order of operations of the scalar formulas, so a
-    point's cells have the same bits whatever the batch around it.
+    :func:`closed_forms`.  One Python pass takes the libm weights, and
+    the squares ``alpha**2``, ``f-**2`` and ``f+**2``, as Python floats:
+    numpy's ``exp`` and ``a**2`` differ from libm's in the last bit on
+    some arguments.  Each closed form is then one numpy expression over
+    the columns.  numpy runs only ``+ - * /`` and ``sqrt``, which are
+    correctly rounded, in the order of operations of the scalar
+    formulas, so a point's cells have the same bits whatever the batch
+    around it.
     """
-    weights = _weight_columns(points)
+    columns = []
+    for alpha, omega, temperature in points:
+        f_minus, f_plus = _weights(omega, temperature)
+        columns.append((alpha, omega, temperature, f_minus, f_plus, alpha**2, f_minus**2, f_plus**2))
+    cells = itertools.chain.from_iterable(columns)
+    weights = np.fromiter(cells, float, 8 * len(columns)).reshape(-1, 8)
     alpha, f_minus, f_plus, a2, fm2, fp2 = weights[:, [0, 3, 4, 5, 6, 7]].T
     f2 = weights[:, 6:]  # f-^2, f+^2
     n = len(weights)

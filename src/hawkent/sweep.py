@@ -6,10 +6,10 @@ evaluated as one table: one Python pass takes the thermal weights of
 every point, each closed form is then one numpy expression over the
 ``(N,)`` columns, and the rows are read off the ``(N, 15)`` table.  The
 cells have the bits of :func:`~hawkent.model.closed_forms` at each
-point, whatever the grid around it.  In verify mode the check builds
-every point's amplitudes from the table's ``(alpha, omega, T)`` columns
-alone, on its own path to the thermal weights (see
-:func:`_check_amplitudes`), and reshaped they give each pair's 4x2
+point, whatever the grid around it.  In verify mode the model's one
+state builder, :func:`~hawkent.model._amplitudes`, builds every point's
+amplitudes from the table's ``(alpha, omega, T)`` columns alone, on its
+own path to the thermal weights, and reshaped they give each pair's 4x2
 factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 :mod:`hawkent.measures` measures all ``3N`` pair states from those
 factors at once, in one LAPACK call and with no eigensolver on the
@@ -155,11 +155,12 @@ class RunConfig:
     ``sweep`` must be a :class:`SweepSpec`, ``output_format`` ``'csv'``
     or ``'json'``, ``out`` None or a ``str``, and ``verify`` a bool (a
     numpy bool is stored as a Python bool); a bad field raises
-    ``ValueError`` naming it.  ``mass`` records the black-hole mass when
-    the fixed temperature was derived from one; it is informational and
-    echoed into JSON output.  It must be None or a mass that
-    :func:`~hawkent.model.hawking_temperature` accepts, which raises its
-    own error otherwise, and is stored as a Python float.
+    ``ValueError`` naming it.  ``mass``, echoed into JSON output, is None
+    or the black-hole mass whose Hawking temperature is the sweep's fixed
+    temperature, so a temperature sweep takes none: a bad mass raises
+    :func:`~hawkent.model.hawking_temperature`'s own error, and a mass
+    of another temperature ``ValueError`` naming both values.  It is
+    stored as a Python float.
     """
 
     sweep: SweepSpec
@@ -179,7 +180,10 @@ class RunConfig:
             raise ValueError(f"verify must be a bool, got {self.verify!r}")
         object.__setattr__(self, "verify", bool(self.verify))
         if self.mass is not None:
-            hawking_temperature(self.mass)
+            temperature = hawking_temperature(self.mass)
+            if temperature != self.sweep.temperature:
+                raise ValueError(f"mass {self.mass!r} has Hawking temperature {temperature!r}, "
+                                 f"but the sweep's temperature is {self.sweep.temperature!r}")
             object.__setattr__(self, "mass", float(self.mass))
 
 
@@ -233,34 +237,17 @@ def grid_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.min, spec.max, spec.steps)
 
 
-def _check_amplitudes(table: np.ndarray) -> np.ndarray:
-    """``(N, 8)`` amplitudes of the points of ``(N, 15)`` rows, built apart from the table.
-
-    Each point's thermal weights come from the Bogoliubov angle of the
-    Unruh-mode vacuum, ``r = atan(exp(-w / (2T)))``, as ``f- = cos r``
-    and ``f+ = sin r``, computed in numpy over the ``(alpha, omega, T)``
-    columns: a different path from the libm weights of the closed
-    forms.  The exponent is taken as ``(w / T) / 2``, as ``2T`` would
-    overflow for T above about 9e307.  At T = 0, ``w / T`` is ``inf``,
-    so ``r`` is exactly 0.
-    """
-    alpha, omega, temperature = table[:, :3].T
-    with np.errstate(divide="ignore", over="ignore"):
-        angle = np.arctan(np.exp(-(omega / temperature) / 2.0))
-    return _amplitudes(alpha, np.cos(angle), np.sin(angle), alpha * alpha)
-
-
 def _verify(table: np.ndarray) -> None:
     """Recompute every row through the spectral route and compare.
 
     ``table`` holds the ``(N, 15)`` rows; the spectral side reads only
-    their ``(alpha, omega, T)`` (see :func:`_check_amplitudes`).  Raises
+    their ``(alpha, omega, T)``, from which it builds the states.  Raises
     :class:`VerificationError` for the first (point, pair, measure), in
     grid order, whose closed-form and spectral values differ by more
     than ``VERIFY_ATOL``.
     """
     n = len(table)
-    factors = _pair_factors(_check_amplitudes(table)).reshape(-1, 4, 2)
+    factors = _pair_factors(_amplitudes(*table[:, :3].T)).reshape(-1, 4, 2)
     spectral = _factor_measures(factors).reshape(n, len(_PAIRS), 4)
     # CSV columns after the parameters run measure by measure, pair by pair
     closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)

@@ -665,16 +665,15 @@ class TestFactorRoute:
         assert np.all(self._gaps(psi) <= FACTOR_ROUTE_BOUNDS)
 
     def test_model_grid(self):
-        from hawkent.model import _closed_table
-        from hawkent.sweep import _check_amplitudes
+        from hawkent.model import _amplitudes
 
         points = [
             (alpha, 1.0, temperature)
             for alpha in np.linspace(0.01, 0.99, 25).tolist()
             for temperature in [0.0, *np.geomspace(1e-3, 1e3, 41).tolist()]
         ]
-        # the amplitudes a verified sweep builds for its check
-        amplitudes = _check_amplitudes(_closed_table(points))
+        # the amplitudes the state builder gives every spectral route
+        amplitudes = _amplitudes(*np.array(points).T)
         assert np.all(self._gaps(amplitudes) <= FACTOR_ROUTE_BOUNDS)
 
     def test_ghz_orbit_has_unentangled_pairs(self):

@@ -23,7 +23,6 @@ from hawkent.measures import (
 from hawkent.model import (
     _amplitudes,
     _closed_table,
-    _weight_columns,
     LimitReport,
     ModelParams,
     ModePair,
@@ -378,8 +377,8 @@ def _bits(values):
 
 
 def _state_amplitudes(points):
-    """The amplitudes of ``tripartite_state`` at many points, from one weight pass."""
-    return _amplitudes(*_weight_columns(points)[:, [0, 3, 4, 5]].T)
+    """The state builder's amplitudes at many points, as one batch."""
+    return _amplitudes(*np.array(points, float).reshape(-1, 3).T)
 
 
 class TestClosedTable:
@@ -389,11 +388,15 @@ class TestClosedTable:
         assert table.shape == (len(TABLE_POINTS), 15)
         assert np.array_equal(_bits(table), _bits(reference))
 
-    def test_amplitudes_match_the_scalar_formulas_bit_for_bit(self):
+    def test_amplitudes_match_the_scalar_formulas(self):
+        # the builder takes the weights from the Bogoliubov angle, not from libm's
+        # scalar formulas; 1 eps was the largest gap measured on these points
         amplitudes = _state_amplitudes(TABLE_POINTS)
         reference = [_ref_amplitudes(*point) for point in TABLE_POINTS]
-        assert np.array_equal(_bits(amplitudes), _bits(reference))
-        assert np.array_equal(_bits(tripartite_state(ModelParams(*TABLE_POINTS[7]))), _bits(reference[7]))
+        assert np.abs(amplitudes - reference).max() <= 8 * np.finfo(float).eps
+        for k in (0, 7, 4000):
+            state = tripartite_state(ModelParams(*TABLE_POINTS[k]))
+            assert np.array_equal(_bits(state), _bits(amplitudes[k]))
 
     def test_closed_forms_is_the_one_row_view(self):
         for point in TABLE_POINTS[::37]:
@@ -642,6 +645,24 @@ class TestModelParamsValidation:
         for entry_point in (check_params, ModelParams, closed_forms, evaluate_point):
             with pytest.raises(TypeError):
                 entry_point(**point)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ModelParams(0.5, 1.0, None),
+            lambda: closed_forms(0.5, 1.0, None),
+            lambda: evaluate_point(0.5, None, 1.0),
+            lambda: thermal_factors(None, 1.0),
+            lambda: asymptotic_limits(None),
+            lambda: check_params(temperature=None),
+        ],
+        ids=["ModelParams", "closed_forms", "evaluate_point", "thermal_factors", "asymptotic_limits", "check_params"],
+    )
+    def test_explicit_none_is_a_type_error_at_the_gate(self, call):
+        # only a parameter left out is skipped: None is compared like any value,
+        # and does not reach the arithmetic ("unsupported operand type(s)")
+        with pytest.raises(TypeError, match="not supported between instances of 'float' and 'NoneType'"):
+            call()
 
     @pytest.mark.parametrize(
         "name, message",

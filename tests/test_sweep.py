@@ -17,8 +17,10 @@ import pytest
 
 import hawkent.model
 import hawkent.sweep
-from hawkent.model import ModelParams, ModePair, tripartite_state
+from hawkent.measures import measure_set
+from hawkent.model import ModelParams, ModePair, hawking_temperature, reduced_density, tripartite_state
 from hawkent.model import (
+    _amplitudes,
     _closed_table,
     closed_form_concurrence,
     closed_form_eof,
@@ -28,7 +30,6 @@ from hawkent.model import (
 from hawkent.sweep import (
     _MEASURES,
     _PAIRS,
-    _check_amplitudes,
     CSV_COLUMNS,
     RunConfig,
     SweepRow,
@@ -41,6 +42,7 @@ from hawkent.sweep import (
     grid_values,
     run_sweep,
 )
+from test_model import _ref_amplitudes
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -51,6 +53,12 @@ TEMP_SWEEP = SweepSpec(
 
 def _config(spec=TEMP_SWEEP, **kwargs):
     return RunConfig(sweep=spec, **kwargs)
+
+
+def _mass_config(mass, **kwargs):
+    """A config of an alpha sweep at the Hawking temperature of ``mass``, echoing the mass."""
+    spec = SweepSpec(vary="alpha", min=0.1, max=0.9, steps=5, omega=1.0, temperature=hawking_temperature(mass))
+    return RunConfig(sweep=spec, mass=mass, **kwargs)
 
 
 class TestFormatNumber:
@@ -143,9 +151,23 @@ class TestSweepSpecValidation:
             RunConfig(**{"sweep": TEMP_SWEEP, field: value})
 
     def test_run_config_stores_numpy_scalars_as_python_ones(self):
-        config = _config(verify=np.True_, mass=np.float32(2.5))
+        config = _mass_config(np.float32(2.5), verify=np.True_)
         assert (type(config.verify), type(config.mass)) == (bool, float)
         assert (config.verify, config.mass) == (True, 2.5)
+
+    @pytest.mark.parametrize(
+        "spec, temperature",
+        [
+            (TEMP_SWEEP, "None"),
+            (SweepSpec(vary="alpha", min=0.1, max=0.9, steps=5, omega=1.0, temperature=5.0), "5.0"),
+        ],
+        ids=["temperature_sweep", "other_temperature"],
+    )
+    def test_run_config_ties_the_mass_to_the_sweep_temperature(self, spec, temperature):
+        # the echo must not name a mass that did not give the table's temperature
+        message = f"mass 1.0 has Hawking temperature {hawking_temperature(1.0)!r}, but the sweep's temperature is {temperature}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(sweep=spec, mass=1.0)
 
 
 class TestGridValues:
@@ -427,15 +449,15 @@ EDGE_ROW_SETS = {
 EDGE_CONFIGS = {
     "none": None,
     "sweep": _config(),
-    "escaped_out": _config(output_format="json", out='a "q" \\ b\nc \u00e9\u2603', mass=1e-300),
+    "escaped_out": _mass_config(1e-300, output_format="json", out='a "q" \\ b\nc \u00e9\u2603'),
     # each varied parameter leaves a different fixed field None
     "alpha_sweep": _config(SweepSpec(vary="alpha", min=0.1, max=0.9, steps=5, omega=1.0, temperature=0.5)),
     "omega_sweep": _config(
         SweepSpec(vary="omega", min=0.5, max=4.0, steps=4, scale="log", alpha=0.3, temperature=1.0)
     ),
-    "unverified_mass": _config(verify=False, mass=2.5),
+    "unverified_mass": _mass_config(2.5, verify=False),
     # stored as the Python float 1.0, and echoed as one
-    "float32_mass": _config(mass=np.float32(1.0)),
+    "float32_mass": _mass_config(np.float32(1.0)),
 }
 
 
@@ -644,7 +666,7 @@ WEIGHT_MUTATIONS = pytest.mark.parametrize("mutation", ["doubled_ratio", "swappe
 
 
 class TestCheckBuildsItsOwnAmplitudes:
-    """The check reaches the thermal weights on a path of its own, so wrong weights fail it."""
+    """Every spectral route reaches the thermal weights on a path of its own, so wrong weights fail it."""
 
     @WEIGHT_MUTATIONS
     def test_wrong_thermal_weights_fail_a_verified_sweep(self, monkeypatch, mutation):
@@ -655,6 +677,23 @@ class TestCheckBuildsItsOwnAmplitudes:
             run_sweep(_config(spec))
         assert len(run_sweep(_config(spec, verify=False))) == 200
 
+    @WEIGHT_MUTATIONS
+    def test_wrong_thermal_weights_fail_the_single_point_cross_check(self, monkeypatch, mutation):
+        # the public cross-check of demo 01 and the README: closed forms against
+        # the measures of reduced_density, whose state never reads _weights
+        _mutate_weights(monkeypatch, mutation)
+        params = ModelParams(0.7, 1.0, 1.0)
+        gaps = []
+        for pair in ModePair:
+            spectral = measure_set(reduced_density(params, pair))
+            gaps += [
+                abs(closed_form_concurrence(params, pair) - spectral.concurrence),
+                abs(closed_form_eof(params, pair) - spectral.eof),
+                abs(closed_form_mutual_information(params, pair) - spectral.mutual_information),
+                abs(closed_form_min_pt_eigenvalue(params, pair) - spectral.min_pt_eigenvalue),
+            ]
+        assert max(gaps) > 1e-9
+
     def test_match_the_state_amplitudes(self):
         rng = np.random.default_rng(16)
         ratio = np.exp(rng.uniform(math.log(1e-300), math.log(1e4), 5000))
@@ -663,8 +702,8 @@ class TestCheckBuildsItsOwnAmplitudes:
         points += [(0.5, 1.0, 5e-324), (0.5, 1e300, 1e-10), (0.7, 1.0, 0.0), (0.3, 1e-300, 1e300)]
         # 2T overflows
         points += [(0.5, 1e308, 1e308), (0.6, 1.0, sys.float_info.max)]
-        got = _check_amplitudes(_closed_table(points))
-        want = np.array([tripartite_state(ModelParams(*point)) for point in points])
+        got = _amplitudes(*np.array(points).T)
+        want = np.array([_ref_amplitudes(*point) for point in points])
         # 2.25 eps was the largest gap measured on these points
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
 
@@ -672,7 +711,7 @@ class TestCheckBuildsItsOwnAmplitudes:
         points = [(0.6, 1.0, 0.0), (0.3, 1e300, 0.0), (0.9, 5e-324, 0.0)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            amplitudes = _check_amplitudes(_closed_table(points))
+            amplitudes = _amplitudes(*np.array(points).T)
             evaluate_point(0.6, 1.0, 0.0)
         for point, row in zip(points, amplitudes):
             alpha = point[0]
