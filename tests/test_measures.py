@@ -1,6 +1,7 @@
 """Contract tests for the two-qubit correlation measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hawkent.measures
 from hawkent.measures import (
     DensityMatrix,
     MeasureSet,
@@ -365,28 +367,55 @@ GATE_FAILURES = pytest.mark.parametrize(
 MARGINAL_BELOW_GATE = np.diag([1.0 + 1.8e-10, 0.0, -0.9e-10, -0.9e-10])
 
 
-def _record_lapack_dtypes(monkeypatch):
-    """Wrap numpy's eigh, eigvalsh and svd to record the dtype and size of each matrix handed in."""
-    dtypes = {}
-    for name in ("eigh", "eigvalsh", "svd"):
-        def recorded(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            a = np.asarray(a)
-            dtypes.setdefault(_name, set()).add((a.dtype, a.shape[-1]))
-            return _real(a, *args, **kwargs)
+# numpy's public eigensolvers and SVD, which the spectral route never calls:
+# each is spied on under this key, and must read no call.
+NUMPY_LINALG = {name: f"numpy.linalg.{name}" for name in ("eigh", "eigvalsh", "svd")}
+NO_NUMPY_LINALG_CALLS = dict.fromkeys(NUMPY_LINALG.values(), 0)
 
-        monkeypatch.setattr(np.linalg, name, recorded)
+
+def _spy_lapack(monkeypatch, record):
+    """Call ``record(name, a)`` on each matrix stack handed to an eigensolver.
+
+    hawkent's ``_eigh`` and ``_eigvalsh`` record as ``eigh`` and ``eigvalsh``;
+    numpy's public ``eigh``, ``eigvalsh`` and ``svd`` as ``numpy.linalg.<name>``.
+    """
+    def spied(name, real):
+        def call(a, *args, **kwargs):
+            record(name, np.asarray(a))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(hawkent.measures, f"_{name}")
+        monkeypatch.setattr(hawkent.measures, f"_{name}", spied(name, real))
+    for name, key in NUMPY_LINALG.items():
+        monkeypatch.setattr(np.linalg, name, spied(key, getattr(np.linalg, name)))
+
+
+def _record_lapack_dtypes(monkeypatch):
+    """Record the dtype and size of each matrix handed to an eigensolver (see ``_spy_lapack``).
+
+    A key appears only once its solver is called, so a result without a
+    ``numpy.linalg.<name>`` key shows that numpy's public calls got none.
+    """
+    dtypes = {}
+
+    def record(name, a):
+        dtypes.setdefault(name, set()).add((a.dtype, a.shape[-1]))
+
+    _spy_lapack(monkeypatch, record)
     return dtypes
 
 
 def _count_lapack_calls(monkeypatch):
-    """Wrap numpy's eigh, eigvalsh and svd to count their calls."""
-    calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    """Count the eigensolver calls (see ``_spy_lapack``)."""
+    calls = dict.fromkeys(("eigh", "eigvalsh", *NUMPY_LINALG.values()), 0)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    def count(name, a):
+        calls[name] += 1
+
+    _spy_lapack(monkeypatch, count)
     return calls
 
 
@@ -425,7 +454,7 @@ class TestDensityMatrixIsGatedWhenBuilt:
         rho = validate_density(np.diag([0.3, 0.7]), (2, 1))
         calls = _count_lapack_calls(monkeypatch)
         assert abs(one_to_rest_tangle(rho) - 0.84) <= 1e-14
-        assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0, **NO_NUMPY_LINALG_CALLS}
 
 
 class TestMeasureSet:
@@ -479,7 +508,7 @@ class TestMeasureSet:
         # one eigh for the gate, the joint entropy and the concurrence factor;
         # one eigvalsh for the 8x8 concurrence embedding and one for the 4x4
         # partial transpose; the 2x2 marginal spectra are closed forms
-        assert calls == {"eigh": 1, "eigvalsh": 2, "svd": 0}
+        assert calls == {"eigh": 1, "eigvalsh": 2, **NO_NUMPY_LINALG_CALLS}
 
 
 class TestMeasureStack:
@@ -980,3 +1009,42 @@ class TestEigenFactor:
         rho = _normalised(g)
         factor = _eigen_factor(*np.linalg.eigh(rho[None]))[0]
         assert np.abs(factor @ factor.conj().T - rho).max() <= 1e-10
+
+
+class TestEigensolverPair:
+    """``_eigh`` and ``_eigvalsh`` are numpy's ``eigh`` and ``eigvalsh``, bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    @pytest.mark.parametrize("k", [0, 1, 240])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    def test_matches_numpy(self, dtype, k, size):
+        from hawkent.measures import _eigh, _eigvalsh
+
+        rng = np.random.default_rng(1000 * size + k)
+        a = rng.normal(size=(k, size, size))
+        if dtype is np.complex128:
+            a = a + 1.0j * rng.normal(size=(k, size, size))
+        a = a + a.conj().swapaxes(-1, -2)
+        evals, vecs = _eigh(a)
+        want_evals, want_vecs = np.linalg.eigh(a)
+        self._same(evals, want_evals)
+        self._same(vecs, want_vecs)
+        self._same(_eigvalsh(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("fill", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
+    def test_non_convergence_raises_like_numpy(self, name, dtype, fill):
+        a = np.full((1, 4, 4), fill, dtype)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            getattr(np.linalg, name)(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                getattr(hawkent.measures, f"_{name}")(a)
+        assert str(got.value) == str(want.value) == "Eigenvalues did not converge"

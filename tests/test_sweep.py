@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hawkent.measures
 import hawkent.model
 import hawkent.sweep
 from hawkent.measures import measure_set
@@ -638,17 +639,26 @@ class TestVerification:
 
     def test_verified_sweep_makes_one_real_lapack_call(self, monkeypatch):
         calls = {}
-        for name in ("eigh", "eigvalsh", "svd"):
-            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                calls.setdefault(_name, []).append(np.asarray(a).dtype)
-                return _real(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        def counted(name, real):
+            def call(a, *args, **kwargs):
+                calls.setdefault(name, []).append(np.asarray(a).dtype)
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(hawkent.measures, f"_{name}")
+            monkeypatch.setattr(hawkent.measures, f"_{name}", counted(name, real))
+        for name in ("eigh", "eigvalsh", "svd"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, counted(f"numpy.linalg.{name}", real))
         spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, scale="log",
                          alpha=0.6, omega=1.0)
         run_sweep(_config(spec))
         # the 4x4 concurrence embeddings and partial transposes in one stack;
-        # no eigh, since each pair's factor is read off the amplitudes
+        # no eigh, since each pair's factor is read off the amplitudes, and
+        # no call of numpy's public eigh, eigvalsh or svd
         assert calls == {"eigvalsh": [np.dtype(np.float64)]}
 
 
