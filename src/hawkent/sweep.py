@@ -21,23 +21,23 @@ nor the thermal weights it starts from.  The spectral route never
 reads a closed-form value or weight, and the emitted values are the
 closed forms either way.
 
-Each emitter renders a sweep once.  One ``%`` call on a template of all
-the lines renders every cell with 12 significant digits, and one text
-replace on the result folds ``-0.0`` into ``0.0`` (see :func:`_render`).
-CSV writes those lines as they are.  JSON reads each value's text off
-its cell with string operations, falling back to
-``json.dumps(float(cell))`` only for the few cells whose shortest repr
-does not follow from the cell's text (see :func:`_json_values`), and
-fills one template of all the records, in the ``indent=1`` layout, in
-one more ``%`` call.  Every JSON value is therefore the exact value of
-its CSV cell.  The head, the config echo, is one module-level template
-in the same layout, keyed by the fields of :class:`SweepSpec` and then
-``format``, ``out``, ``verify`` and ``mass``; each value is filled in
-as ``json.dumps`` writes it.  The gates of :class:`SweepSpec` and
-:class:`RunConfig` leave only strings, finite floats, ints, bools and
-None there, which ``json.dumps`` writes as the ``indent=1`` layout
-does.  :func:`format_number` renders single values with the same cell
-format, for the CLI's text reports.
+Each emitter renders a sweep once, through :func:`_render_lines`: one
+``%`` call on a template of all the lines renders every cell with 12
+significant digits, and one text replace on the result folds ``-0.0``
+into ``0.0``.  CSV writes those lines as they are.  JSON fills a
+template of all the records, in the ``indent=1`` layout, with the same
+cells, and two text fix-ups make them strict JSON numbers: a cell with
+12 integer digits, which ends in a bare ``.``, gets a trailing ``0``,
+and ``nan``, ``inf`` and ``-inf`` take ``json``'s ``NaN``, ``Infinity``
+and ``-Infinity``.  Every JSON value is therefore its CSV cell, and
+parses to the exact value of that cell.  The head, the config echo, is
+one module-level template in the same layout, keyed by the fields of
+:class:`SweepSpec` and then ``format``, ``out``, ``verify`` and
+``mass``; each value is filled in as ``json.dumps`` writes it.  The
+gates of :class:`SweepSpec` and :class:`RunConfig` leave only strings,
+finite floats, ints, bools and None there, which ``json.dumps`` writes
+as the ``indent=1`` layout does.  :func:`format_number` renders single
+values with the same cell format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -148,6 +148,13 @@ class SweepSpec:
             object.__setattr__(self, name, check_params(**{name: value})[i])
 
 
+def _verify_flag(verify) -> bool:
+    """``verify`` as a Python bool: a bool or a numpy bool, else ``ValueError`` naming it."""
+    if not isinstance(verify, (bool, np.bool_)):
+        raise ValueError(f"verify must be a bool, got {verify!r}")
+    return bool(verify)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A sweep plus emission settings, each field checked when the config is built.
@@ -176,9 +183,7 @@ class RunConfig:
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if not (self.out is None or isinstance(self.out, str)):
             raise ValueError(f"out must be None or a str, got {self.out!r}")
-        if not isinstance(self.verify, (bool, np.bool_)):
-            raise ValueError(f"verify must be a bool, got {self.verify!r}")
-        object.__setattr__(self, "verify", bool(self.verify))
+        object.__setattr__(self, "verify", _verify_flag(self.verify))
         if self.mass is not None:
             temperature = hawking_temperature(self.mass)
             if temperature != self.sweep.temperature:
@@ -205,8 +210,8 @@ _new_row = partial(tuple.__new__, SweepRow)
 
 # 12 significant digits, trailing zeros kept
 _CELL = "%#.12g"
-# one element of the JSON rows array, as json.dump(..., indent=1) lays it out
-_JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n  }"
+# one element of the JSON rows array and its separator, in json.dump(..., indent=1)'s layout
+_JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: {_CELL}" for c in CSV_COLUMNS) + "\n  },\n"
 # the JSON head up to the rows array, with and without a config echo, in the same layout
 _SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 _spec_values = operator.attrgetter(*_SPEC_FIELDS)
@@ -276,13 +281,14 @@ def evaluate_point(
 ) -> SweepRow:
     """Closed-form measures at one point, optionally cross-checked.
 
-    The parameters are range-checked first.  The row is the one-row
-    table of a sweep at the point.  With ``verify`` on, the three pair
-    states of the point go through the same stacked spectral check as a
-    sweep, as a batch of one; a gap above ``VERIFY_ATOL`` raises
+    The parameters are range-checked first, then ``verify`` as
+    :class:`RunConfig` checks it.  The row is the one-row table of a
+    sweep at the point.  With ``verify`` on, the three pair states of
+    the point go through the same stacked spectral check as a sweep, as
+    a batch of one; a gap above ``VERIFY_ATOL`` raises
     :class:`VerificationError` naming the point and the measure.
     """
-    return _rows([check_params(alpha, omega, temperature)], verify)[0]
+    return _rows([check_params(alpha, omega, temperature)], _verify_flag(verify))[0]
 
 
 def run_sweep(config: RunConfig) -> list[SweepRow]:
@@ -304,52 +310,22 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return _rows(points, config.verify)
 
 
-def _render_lines(rows, width: int) -> str:
-    """The rows as lines of ``width`` comma-separated cells, each line ending in a newline.
+def _render_lines(rows, width: int, line: str | None = None) -> str:
+    """The rows, each filled into ``line``: by default ``width`` comma-separated cells and a newline.
 
-    Every row is checked before anything is rendered: raises
-    ``ValueError`` for the first row whose width is not ``width``.  The
-    cells of all rows are then rendered by one ``%`` call on a template
-    of all the lines, with every ``-0.0`` printed as ``0.0``.
+    ``line`` holds one ``%#.12g`` conversion per cell.  Every row is
+    checked before anything is rendered: raises ``ValueError`` for the
+    first row whose width is not ``width``.  The cells of all rows are
+    then rendered by one ``%`` call on a template of all the lines, with
+    every ``-0.0`` printed as ``0.0``.
     """
     rows = list(map(tuple, rows))
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} values, expected {width}")
-    line = ",".join([_CELL] * width) + "\n"
+    if line is None:
+        line = ",".join([_CELL] * width) + "\n"
     return _render(line * len(rows), tuple(chain.from_iterable(rows)))
-
-
-def _json_values(cells: list[str]) -> list[str]:
-    """The JSON text of ``float(cell)`` for each ``%#.12g`` cell, read off the cell.
-
-    ``float()`` of a decimal with at most DBL_DIG = 15 significant
-    digits is a double whose shortest round-trip repr has those same
-    digits, less their trailing zeros, as long as the double is normal;
-    a cell has 12.  repr writes exponent form below 1e-4 and from 1e16
-    on, ``%g`` below 1e-4 and from 1e12 on, each with a signed exponent
-    of at least two digits.  So a fixed-form cell drops the trailing
-    zeros of its significand, a bare trailing ``.`` becoming ``.0``, and
-    an exponent-form cell drops them and a bare ``.`` and keeps
-    ``e+XX`` as it is.  The other cells take ``json.dumps(float(cell))``:
-    NaN and the infinities; decimal exponents 12 to 15, which ``%g``
-    writes in exponent form and repr in fixed form; and exponents of
-    -308 and below, where the value may be subnormal and its repr
-    shorter.
-    """
-    values = []
-    for cell in cells:
-        if "e" in cell:
-            significand, e, exponent = cell.partition("e")
-            if int(exponent) > 15 or -308 < int(exponent) < 12:
-                values.append(significand.rstrip("0").rstrip(".") + e + exponent)
-                continue
-        elif "n" not in cell:  # nan and inf are the only cells with an "n"
-            fixed = cell.rstrip("0")
-            values.append(fixed + "0" if fixed[-1] == "." else fixed)
-            continue
-        values.append(json.dumps(float(cell)))
-    return values
 
 
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
@@ -362,27 +338,28 @@ def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
-    """Write a top-level object with a config echo and a rows array.
+    """Write a top-level object with a config echo and a rows array, in ``json.dump``'s ``indent=1`` layout.
 
-    The bytes are those of ``json.dump(payload, stream, indent=1)``
-    plus a newline, where ``payload`` holds the config echo (or None)
-    and, for each row, an object from column name to ``float()`` of the
-    row's CSV cell, so the two formats agree exactly.  The echo fills
-    one template (see the module docstring).  Each row value's text is
-    read off its cell (see :func:`_json_values`), and one ``%`` call
-    fills the records of all rows.  NaN and infinities keep ``json``'s
-    spelling.  Rows of the wrong width raise ``ValueError`` before
-    anything is written.
+    The head is the config echo (or null), filled into one template
+    (see the module docstring).  Each row is an object from column name
+    to the row's CSV cell, rendered by the same helper as
+    :func:`emit_csv`; a cell ending in a bare ``.`` is written with a
+    trailing ``0``, and NaN and the infinities take ``json``'s
+    spelling.  So each value parses to ``float()`` of its CSV cell and
+    the two formats agree exactly.  Rows of the wrong width raise
+    ``ValueError`` before anything is written.
     """
-    lines = _render_lines(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
+    records = _render_lines(rows, len(CSV_COLUMNS), _JSON_RECORD)  # raises on a bad row before anything is written
     if config is None:
         head = _JSON_HEAD_NO_CONFIG
     else:
         echo = (*_spec_values(config.sweep), config.output_format, config.out, config.verify, config.mass)
         head = _JSON_HEAD % tuple(map(json.dumps, echo))
-    if not lines:
+    if not records:
         stream.write(head + "[]\n}\n")
         return
-    cells = lines[:-1].replace("\n", ",").split(",")
-    records = ",\n".join([_JSON_RECORD] * (len(cells) // len(CSV_COLUMNS))) % tuple(_json_values(cells))
+    # less the last separator, each value is followed by ",\n" or, last in its record, by "\n";
+    # no key holds "nan" or "inf"
+    records = records[:-2].replace(".,\n", ".0,\n").replace(".\n", ".0\n")
+    records = records.replace("nan", "NaN").replace("inf", "Infinity")
     stream.write(head + "[\n" + records + "\n ]\n}\n")

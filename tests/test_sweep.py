@@ -433,6 +433,29 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _value_bits(text):
+    """The bits of the double that ``json`` parses from one value's text."""
+    return struct.pack("<d", json.loads(text))
+
+
+def _assert_same_json_values(got, want):
+    """``got`` has ``want``'s head bytes, its lines and keys, and bitwise-equal values.
+
+    Only row values may differ in text: each pair must parse to the
+    same double, the sign of zero and NaN included.
+    """
+    head = want.index('"rows": ')
+    assert got[:head] == want[:head], "the config echo changed"
+    got_lines, want_lines = got[head:].split("\n"), want[head:].split("\n")
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        if g != w:
+            g_key, _, g_value = g.partition(": ")
+            w_key, _, w_value = w.partition(": ")
+            assert (g_key, g_value.endswith(",")) == (w_key, w_value.endswith(",")), (g, w)
+            assert _value_bits(g_value.removesuffix(",")) == _value_bits(w_value.removesuffix(",")), (g, w)
+
+
 def _rows_cycling(cells):
     """Rows that put each cell in each column, once per starting offset."""
     return [tuple(cells[(i + k) % len(cells)] for k in range(len(CSV_COLUMNS))) for i in range(len(cells))]
@@ -491,6 +514,9 @@ def _read_off_rows():
 
 READ_OFF_ROWS = _read_off_rows()
 CSV_ROW_SETS = {**EDGE_ROW_SETS, "read_off": READ_OFF_ROWS}
+FINITE_ROW_SETS = {
+    name: rows for name, rows in CSV_ROW_SETS.items() if all(math.isfinite(v) for row in rows for v in row)
+}
 
 
 class TestEmissionBytes:
@@ -509,7 +535,7 @@ class TestEmissionBytes:
     def test_json_matches_json_dump(self, rows, config):
         out = io.StringIO()
         emit_json(rows, out, config)
-        assert out.getvalue() == _old_json(rows, config)
+        _assert_same_json_values(out.getvalue(), _old_json(rows, config))
         if not rows:  # the head alone is strict JSON: no NaN or infinity in the echo
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
@@ -520,12 +546,29 @@ class TestEmissionBytes:
         assert list(json.loads(out.getvalue())["config"]) == keys
 
     def test_exponent_cell_keeps_its_json_spelling(self):
-        rows = [(123456789012345.0,) * len(CSV_COLUMNS)]
+        # the last column ends its record, so its bare "." is followed by a newline, not a comma
+        rows = [(123456789012345.0, 1e11) * (len(CSV_COLUMNS) // 2) + (1e11,)]
         csv_out, json_out = io.StringIO(), io.StringIO()
         emit_csv(rows, csv_out)
         emit_json(rows, json_out)
-        assert csv_out.getvalue().splitlines()[1].split(",")[0] == "1.23456789012e+14"
-        assert '"alpha": 123456789012000.0,' in json_out.getvalue()
+        assert csv_out.getvalue().splitlines()[1].split(",")[:2] == ["1.23456789012e+14", "100000000000."]
+        assert '"alpha": 1.23456789012e+14,\n' in json_out.getvalue()
+        assert '"omega": 100000000000.0,\n' in json_out.getvalue()
+        assert '"minPT_I_II": 100000000000.0\n' in json_out.getvalue()
+
+    @pytest.mark.parametrize("rows", FINITE_ROW_SETS.values(), ids=FINITE_ROW_SETS.keys())
+    def test_json_values_are_their_csv_cells_as_strict_json(self, rows):
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        emit_csv(rows, csv_out)
+        emit_json(rows, json_out)
+        json.loads(json_out.getvalue(), parse_constant=_reject_constant)
+        cells = [cell for line in csv_out.getvalue().splitlines()[1:] for cell in line.split(",")]
+        want = [cell + "0" if cell.endswith(".") else cell for cell in cells]
+        got = [line.partition(": ")[2].removesuffix(",") for line in json_out.getvalue().splitlines()
+               if line.startswith('   "')]
+        assert len(got) == len(want)
+        differ = [(g, w) for g, w in zip(got, want) if g != w]
+        assert not differ, f"{len(differ)} values differ, first: {differ[:3]}"
 
     @pytest.mark.parametrize("width", [len(CSV_COLUMNS) - 1, len(CSV_COLUMNS) + 1])
     @pytest.mark.parametrize("emit", [emit_csv, emit_json])
@@ -548,10 +591,7 @@ class TestEmissionBytes:
     def test_json_values_are_read_off_their_cells_exactly(self):
         out = io.StringIO()
         emit_json(READ_OFF_ROWS, out)
-        got, want = out.getvalue().splitlines(keepends=True), _old_json(READ_OFF_ROWS, None).splitlines(keepends=True)
-        assert len(got) == len(want)
-        differ = [(g, w) for g, w in zip(got, want) if g != w]
-        assert not differ, f"{len(differ)} lines differ, first: {differ[:3]}"
+        _assert_same_json_values(out.getvalue(), _old_json(READ_OFF_ROWS, None))
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
     """Add ``delta`` to the closed-form ``entries`` of ``hawkent.sweep._closed_table``.
@@ -587,6 +627,20 @@ class TestVerification:
         _skew(monkeypatch)
         row = evaluate_point(0.5, 1.0, 1.0, verify=False)
         assert row.c_a_i > 0.0
+
+    @pytest.mark.parametrize("verify", ["no", None, 1, np.True_], ids=["str", "none", "int", "numpy_bool"])
+    def test_evaluate_point_gates_verify_as_run_config_does(self, monkeypatch, verify):
+        _skew(monkeypatch)  # so a check that runs raises VerificationError
+        if isinstance(verify, np.bool_):
+            with pytest.raises(VerificationError):
+                evaluate_point(0.5, 1.0, 1.0, verify=verify)
+            assert _config(verify=verify).verify is True
+            return
+        message = re.escape(f"verify must be a bool, got {verify!r}")
+        with pytest.raises(ValueError, match=message):
+            evaluate_point(0.5, 1.0, 1.0, verify=verify)
+        with pytest.raises(ValueError, match=message):
+            _config(verify=verify)
 
     def test_run_sweep_propagates(self, monkeypatch):
         _skew(monkeypatch)
