@@ -119,8 +119,8 @@ class ModelParams:
 
     @cached_property
     def _closed_forms(self) -> tuple[float, ...]:
-        # the four closed_form_* views of one point share one evaluation
-        return closed_forms(self.alpha, self.omega, self.temperature)
+        # the four closed_form_* views of one point share one evaluation, of the checked fields
+        return tuple(_closed_table([(self.alpha, self.omega, self.temperature)])[0, 3:].tolist())
 
 
 @dataclass(frozen=True)
@@ -263,28 +263,27 @@ def _closed_table(points) -> np.ndarray:
 
     Returns the ``(N, 15)`` table of rows in the order of the sweep's
     CSV columns, each point followed by the twelve closed forms of
-    :func:`closed_forms`.  One Python pass takes the libm weights, and
-    the squares ``alpha**2``, ``f-**2`` and ``f+**2``, as Python floats:
-    numpy's ``exp`` and ``a**2`` differ from libm's in the last bit on
-    some arguments.  Each closed form is then one numpy expression over
-    the columns.  numpy runs only ``+ - * /`` and ``sqrt``, which are
-    correctly rounded, in the order of operations of the scalar
-    formulas, so a point's cells have the same bits whatever the batch
-    around it.
+    :func:`closed_forms`.  The table's rule for bits is libm for ``exp``
+    and ``log2``, numpy for ``+ - * /`` and ``sqrt``: one Python pass
+    takes only libm's weights, as numpy's ``exp`` differs from libm's
+    in the last bit on some arguments, and the entropies take libm's
+    ``log2``.  Each closed form is then one numpy expression over the
+    columns, every square a product, in the order of operations of the
+    scalar formulas.  Those numpy operations are correctly rounded, so a
+    point's cells have the same bits whatever the batch around it.
     """
-    columns = []
-    for alpha, omega, temperature in points:
-        f_minus, f_plus = _weights(omega, temperature)
-        columns.append((alpha, omega, temperature, f_minus, f_plus, alpha**2, f_minus**2, f_plus**2))
+    columns = [(a, w, t, *_weights(w, t)) for a, w, t in points]
     cells = itertools.chain.from_iterable(columns)
-    weights = np.fromiter(cells, float, 8 * len(columns)).reshape(-1, 8)
-    alpha, f_minus, f_plus, a2, fm2, fp2 = weights[:, [0, 3, 4, 5, 6, 7]].T
-    f2 = weights[:, 6:]  # f-^2, f+^2
+    weights = np.fromiter(cells, float, 5 * len(columns)).reshape(-1, 5)
+    alpha, f_minus, f_plus = weights[:, [0, 3, 4]].T
+    a2 = alpha * alpha
+    b2 = 1.0 - a2
+    f2 = weights[:, 3:] * weights[:, 3:]  # f-^2, f+^2
     n = len(weights)
     table = np.empty((n, 15))
     table[:, :3] = weights[:, :3]
     two_alpha = 2.0 * alpha
-    pure = two_alpha * np.sqrt(1.0 - alpha * alpha)
+    pure = two_alpha * np.sqrt(b2)
     table[:, 3] = pure * f_minus
     table[:, 4] = pure * f_plus
     table[:, 5] = two_alpha * alpha * f_minus * f_plus
@@ -302,12 +301,11 @@ def _closed_table(points) -> np.ndarray:
     table[:, 11] = s_i + s_ii - s_a
     # (d, 4 c^2) of the A_I, A_II and I_II partial transposes, with d
     # a^2 f+^2, a^2 f-^2 and 1 - a^2
-    b2 = 1.0 - a2
     d = p[:, [5, 4, 3]]
     d[:, 2] = b2
     cc4 = np.empty((n, 3))
     cc4[:, :2] = (4.0 * a2 * b2)[:, None] * f2
-    cc4[:, 2] = 4.0 * a2 * a2 * fm2 * fp2
+    cc4[:, 2] = 4.0 * a2 * a2 * f2[:, 0] * f2[:, 1]
     table[:, 12:] = 0.5 * (d - np.sqrt(d * d + cc4))
     return table
 
@@ -366,39 +364,25 @@ def closed_form_min_pt_eigenvalue(params: ModelParams, pair: ModePair) -> float:
 
 
 def asymptotic_limits(alpha: float) -> LimitReport:
-    """Exact values of both temperature extremes.
+    """Values of both temperature extremes.
 
-    At T = 0 all correlation sits in A_I; as T -> infinity the thermal
-    weights equalise at ``1/sqrt(2)`` and the A_I values drop to
-    ``C = alpha sqrt(2 (1 - alpha^2))`` and ``I = H2(alpha^2)``, exactly
-    half the T = 0 mutual information, while A_II mirrors A_I and the
-    I_II pair reaches ``C = alpha^2`` and
+    At T = 0 all correlation sits in A_I.  Those values are the C and MI
+    cells of the closed forms' row at T = 0, bit for bit (``omega`` does
+    not enter there).  As T -> infinity the thermal weights equalise at
+    ``1/sqrt(2)``, which no table row reaches, so these values are exact
+    formulas: the A_I values drop to ``C = alpha sqrt(2 (1 - alpha^2))``
+    and ``I = H2(alpha^2)``, exactly half the T = 0 mutual information,
+    while A_II mirrors A_I and the I_II pair reaches ``C = alpha^2`` and
     ``I = 2 H2(alpha^2 / 2) - H2(alpha^2)``.
     """
     alpha = check_params(alpha=alpha)[0]
+    row = _closed_table([(alpha, 1.0, 0.0)])[0].tolist()
     a2 = alpha * alpha
-    b2 = 1.0 - a2
     h_a2, h_half = _binary_entropies(np.array([[a2, a2 / 2.0]], float))[0].tolist()
-    zero = LimitValues(
-        c_a_i=2.0 * alpha * math.sqrt(b2),
-        c_a_ii=0.0,
-        c_i_ii=0.0,
-        mi_a_i=2.0 * h_a2,
-        mi_a_ii=0.0,
-        mi_i_ii=0.0,
-    )
-    c_hot = alpha * math.sqrt(2.0 * b2)
-    infinite = LimitValues(
-        c_a_i=c_hot,
-        c_a_ii=c_hot,
-        c_i_ii=a2,
-        mi_a_i=h_a2,
-        mi_a_ii=h_a2,
-        mi_i_ii=2.0 * h_half - h_a2,
-    )
+    c_hot = alpha * math.sqrt(2.0 * (1.0 - a2))
     return LimitReport(
         alpha=alpha,
-        zero_temperature=zero,
-        infinite_temperature=infinite,
+        zero_temperature=LimitValues(*row[3:6], *row[9:12]),
+        infinite_temperature=LimitValues(c_hot, c_hot, a2, h_a2, h_a2, 2.0 * h_half - h_a2),
         accessible_mi_ratio=0.5,
     )

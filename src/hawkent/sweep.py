@@ -15,11 +15,11 @@ factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 factors at once, in one LAPACK call and with no eigensolver on the
 4x4 states, and compares them with the table's ``(N, 3, 4)`` view of
 the closed forms.  The run aborts on the first disagreement beyond
-1e-9 in grid order (a NaN on either side is a disagreement), so
-emitted numbers are never untested: neither the closed-form algebra
-nor the thermal weights it starts from.  The spectral route never
-reads a closed-form value or weight, and the emitted values are the
-closed forms either way.
+``VERIFY_ATOL`` (1e-12, absolute) in grid order (a NaN on either side
+is a disagreement), so emitted numbers are never untested: neither the
+closed-form algebra nor the thermal weights it starts from.  The
+spectral route never reads a closed-form value or weight, and the
+emitted values are the closed forms either way.
 
 Each emitter renders a sweep once, through :func:`_render_lines`: one
 ``%`` call on a template of all the lines renders every cell with 12
@@ -70,7 +70,7 @@ __all__ = [
     "emit_json",
 ]
 
-VERIFY_ATOL = 1e-9
+VERIFY_ATOL = 1e-12
 
 CSV_COLUMNS = (
     "alpha",

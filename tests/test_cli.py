@@ -15,6 +15,7 @@ import hawkent.model
 from hawkent.cli import figure_command, limits_command, main
 from hawkent.model import ModePair, _closed_table, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, evaluate_point, format_number
+from test_sweep import _skew
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -308,6 +309,17 @@ class TestFigureCommand:
         code = main(["figure", "1"])
         assert code == 0
         assert capsys.readouterr().out == figure_command(1)
+
+    @pytest.mark.parametrize("column", ["C_A_I", "EoF_A_I", "MI_A_I", "minPT_A_I"])
+    def test_closed_form_off_by_1e_11_exits_3(self, capsys, monkeypatch, column):
+        # a closed-form column off by 1e-11 prints wrong 12-digit cells; the
+        # gate must be tighter than that, whichever measure the figure shows
+        _skew(monkeypatch, entries=(CSV_COLUMNS.index(column) - 3,), delta=1e-11)
+        code = main(["figure", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "verification failed" in captured.err
+        assert captured.out == ""
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "fig.csv"

@@ -321,10 +321,10 @@ def _ref_row(alpha, omega, temperature):
     pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
     c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
     eof = [_ref_binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - x * x))) / 2.0) for x in c]
-    a2 = alpha**2
+    a2 = alpha * alpha
     b2 = 1.0 - a2
-    fm2 = f_minus**2
-    fp2 = f_plus**2
+    fm2 = f_minus * f_minus
+    fp2 = f_plus * f_plus
     s_a = _ref_binary_entropy(a2)
     s_i = _ref_binary_entropy(a2 * fm2)
     s_ii = _ref_binary_entropy(a2 * fp2)
@@ -578,10 +578,27 @@ class TestAsymptoticLimits:
         for alpha in (0.3, INV_SQRT2, 0.9):
             params = ModelParams(alpha, 1.0, 0.0)
             zero = asymptotic_limits(alpha).zero_temperature
-            assert abs(closed_form_concurrence(params, ModePair.A_I) - zero.c_a_i) <= 1e-14
+            assert closed_form_concurrence(params, ModePair.A_I) == zero.c_a_i
             assert closed_form_concurrence(params, ModePair.A_II) == 0.0
             assert closed_form_concurrence(params, ModePair.I_II) == 0.0
-            assert abs(closed_form_mutual_information(params, ModePair.A_I) - zero.mi_a_i) <= 1e-13
+            assert closed_form_mutual_information(params, ModePair.A_I) == zero.mi_a_i
+
+    @pytest.mark.parametrize("omega", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            *(1e-300, 1e-160, 1e-8, 0.3, INV_SQRT2, 0.9, 1.0 - 1e-16),
+            # six of np.random.default_rng(26).uniform(0, 1, 10000) where libm's
+            # pow(a, 2) and a * a differ, which moves MI_A_I's last bit
+            *(0.4837490035323304, 0.3736473737306093, 0.8021428213107062),
+            *(0.9566895805015911, 0.03448478963588797, 0.10047040362320747),
+        ],
+    )
+    def test_zero_limit_is_the_closed_forms_row_at_zero(self, alpha, omega):
+        zero = dataclasses.astuple(asymptotic_limits(alpha).zero_temperature)
+        row = closed_forms(alpha, omega, 0.0)
+        # C then MI of A_I, A_II and I_II, sign of zero included
+        assert np.array_equal(_bits(zero), _bits(row[0:3] + row[6:9]))
 
     def test_hot_limit_is_approached(self):
         for alpha in (0.3, INV_SQRT2, 0.9):
@@ -608,6 +625,7 @@ class TestAsymptoticLimits:
         ]
         assert np.array_equal(_bits(got), _bits(want))
         assert report.infinite_temperature.mi_a_ii == report.infinite_temperature.mi_a_i
+        assert _bits(report.zero_temperature.c_a_i) == _bits(2.0 * alpha * math.sqrt(1.0 - a2))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, math.nan])
     def test_rejects_bad_alpha(self, alpha):

@@ -35,6 +35,7 @@ from hawkent.sweep import (
     RunConfig,
     SweepRow,
     SweepSpec,
+    VERIFY_ATOL,
     VerificationError,
     emit_csv,
     emit_json,
@@ -612,7 +613,44 @@ def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
     monkeypatch.setattr("hawkent.sweep._closed_table", skewed)
 
 
+def _log_uniform(rng, low, high, size):
+    return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+
+def _survey_points():
+    """20000 seeded points: alpha uniform, log-uniform down to 1e-12 and
+    within 1e-15 to 1e-1 of 1, at w/T log-uniform in [1e-6, 1e3], then
+    blocks at T = 0, T = 5e-324, omega = max float and T = max float."""
+    rng = np.random.default_rng(20)
+    n = 5000
+    alphas = np.concatenate(
+        [rng.uniform(0.0, 1.0, n), _log_uniform(rng, 1e-12, 1.0, n), 1.0 - _log_uniform(rng, 1e-15, 1e-1, n)]
+    )
+    ratio = _log_uniform(rng, 1e-6, 1e3, 3 * n)
+    points = [(a, 1.0, 1.0 / x) for a, x in zip(alphas.tolist(), ratio.tolist()) if 0.0 < a < 1.0]
+    big = sys.float_info.max
+    block = np.split(rng.choice(alphas, n), 4)
+    points += [(a, 1.0, 0.0) for a in block[0].tolist()]
+    points += [(a, 1.0, 5e-324) for a in block[1].tolist()]
+    # w/T stays in [1e-6, 1e3] at the largest omega and T
+    ratio = _log_uniform(rng, 1.0, 1e3, len(block[2]))
+    points += [(a, big, big / x) for a, x in zip(block[2].tolist(), ratio.tolist())]
+    ratio = _log_uniform(rng, 1e-6, 1.0, len(block[3]))
+    points += [(a, big * x, big) for a, x in zip(block[3].tolist(), ratio.tolist())]
+    return points
+
+
 class TestVerification:
+    def test_the_routes_agree_far_inside_the_gate(self, monkeypatch):
+        # the largest gaps were 5.6e-16 (C), 1.5e-15 (EoF), 1.3e-14 (MI) and
+        # 3.3e-16 (min PT), so the check passes at a tenth of the gate
+        bound = 1e-13
+        points = _survey_points()
+        assert len(points) == 20000
+        assert 10.0 * bound <= VERIFY_ATOL
+        monkeypatch.setattr("hawkent.sweep.VERIFY_ATOL", bound)
+        hawkent.sweep._verify(_closed_table(points))
+
     def test_mismatch_raises(self, monkeypatch):
         _skew(monkeypatch)
         with pytest.raises(VerificationError, match="mismatch.*concurrence"):
