@@ -21,19 +21,22 @@ closed-form algebra nor the thermal weights it starts from.  The
 spectral route never reads a closed-form value or weight, and the
 emitted values are the closed forms either way.
 
-Each emitter renders a sweep once, through :func:`_render_lines`: one
-``%`` call on a template of all the lines renders every cell with 12
-significant digits, and one text replace on the result folds ``-0.0``
-into ``0.0``.  CSV writes those lines as they are.  JSON fills a
-template of all the records, in the ``indent=1`` layout, with the same
-cells, and two text fix-ups make them strict JSON numbers: a cell with
-12 integer digits, which ends in a bare ``.``, gets a trailing ``0``,
-and ``nan``, ``inf`` and ``-inf`` take ``json``'s ``NaN``, ``Infinity``
-and ``-Infinity``.  Every JSON value is therefore its CSV cell, and
-parses to the exact value of that cell.  The head, the config echo, is
-one module-level template in the same layout, keyed by the fields of
-:class:`SweepSpec` and then ``format``, ``out``, ``verify`` and
-``mass``; each value is filled in as ``json.dumps`` writes it.  The
+Each emitter flattens its rows once, through :func:`_flat_cells`, which
+checks every row's width, and renders the cells once, through
+:func:`_render_lines`: one ``%`` call on a template of all the lines
+renders every cell with 12 significant digits, and one text replace on
+the result folds ``-0.0`` into ``0.0``.  CSV writes those lines as they
+are.  JSON fills a template of all the records, in the ``indent=1``
+layout, with the same cells, and two text fix-ups make them strict JSON
+numbers: a cell with 12 integer digits, which ends in a bare ``.``,
+gets a trailing ``0``, and ``nan``, ``inf`` and ``-inf`` take
+``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.  The fix-ups are
+skipped on cells that cannot need them (see :func:`emit_json`).  Every
+JSON value is therefore its CSV cell, and parses to the exact value of
+that cell.  The head, the config echo, is one module-level template in
+the same layout, keyed by the fields of :class:`SweepSpec` and then
+``format``, ``out``, ``verify`` and ``mass``; one ``json.dumps`` call
+encodes all the values, each as ``json.dumps`` writes it alone.  The
 gates of :class:`SweepSpec` and :class:`RunConfig` leave only strings,
 finite floats, ints, bools and None there, which ``json.dumps`` writes
 as the ``indent=1`` layout does.  :func:`format_number` renders single
@@ -43,11 +46,11 @@ values with the same cell format, for the CLI's text reports.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -310,22 +313,31 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return _rows(points, config.verify)
 
 
-def _render_lines(rows, width: int, line: str | None = None) -> str:
-    """The rows, each filled into ``line``: by default ``width`` comma-separated cells and a newline.
+def _flat_cells(rows, width: int) -> tuple:
+    """The cells of ``rows``, row after row, in one tuple.
 
-    ``line`` holds one ``%#.12g`` conversion per cell.  Every row is
-    checked before anything is rendered: raises ``ValueError`` for the
-    first row whose width is not ``width``.  The cells of all rows are
-    then rendered by one ``%`` call on a template of all the lines, with
-    every ``-0.0`` printed as ``0.0``.
+    Raises ``ValueError`` for the first row whose width is not
+    ``width``, so a bad row is caught before anything is rendered.
     """
-    rows = list(map(tuple, rows))
+    cells = []
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {i} has {len(row)} values, expected {width}")
+        start = len(cells)
+        cells += row
+        if len(cells) - start != width:
+            raise ValueError(f"row {i} has {len(cells) - start} values, expected {width}")
+    return tuple(cells)
+
+
+def _render_lines(cells: tuple, width: int, line: str | None = None) -> str:
+    """The flat cells, ``width`` to a line, each line filled into ``line``: by default comma-separated cells and a newline.
+
+    ``line`` holds one ``%#.12g`` conversion per cell.  All lines are
+    rendered by one ``%`` call on a template of all the lines, with every
+    ``-0.0`` printed as ``0.0``.
+    """
     if line is None:
         line = ",".join([_CELL] * width) + "\n"
-    return _render(line * len(rows), tuple(chain.from_iterable(rows)))
+    return _render(line * (len(cells) // width), cells)
 
 
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
@@ -334,32 +346,41 @@ def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
     Every row is rendered before anything is written, so a row of the
     wrong width raises ``ValueError`` and leaves ``stream`` untouched.
     """
-    stream.write(",".join(CSV_COLUMNS) + "\n" + _render_lines(rows, len(CSV_COLUMNS)))
+    cells = _flat_cells(rows, len(CSV_COLUMNS))
+    stream.write(",".join(CSV_COLUMNS) + "\n" + _render_lines(cells, len(CSV_COLUMNS)))
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
     """Write a top-level object with a config echo and a rows array, in ``json.dump``'s ``indent=1`` layout.
 
-    The head is the config echo (or null), filled into one template
-    (see the module docstring).  Each row is an object from column name
-    to the row's CSV cell, rendered by the same helper as
-    :func:`emit_csv`; a cell ending in a bare ``.`` is written with a
-    trailing ``0``, and NaN and the infinities take ``json``'s
-    spelling.  So each value parses to ``float()`` of its CSV cell and
-    the two formats agree exactly.  Rows of the wrong width raise
-    ``ValueError`` before anything is written.
+    The head is the config echo (or null), its values encoded by one
+    ``json.dumps`` call and filled into one template (see the module
+    docstring).  Each row is an object from column name to the row's CSV
+    cell, rendered by the same helpers as :func:`emit_csv`; a cell ending
+    in a bare ``.`` is written with a trailing ``0``, and NaN and the
+    infinities take ``json``'s spelling.  The fix-ups are skipped when
+    the cells' Euclidean norm is below 1e10: then no cell is non-finite
+    or ends in a bare ``.``, and the bytes are the same either way.  So
+    each value parses to ``float()`` of its CSV cell and the two formats
+    agree exactly.  Rows of the wrong width raise ``ValueError`` before
+    anything is written.
     """
-    records = _render_lines(rows, len(CSV_COLUMNS), _JSON_RECORD)  # raises on a bad row before anything is written
+    cells = _flat_cells(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
+    records = _render_lines(cells, len(CSV_COLUMNS), _JSON_RECORD)
     if config is None:
         head = _JSON_HEAD_NO_CONFIG
     else:
         echo = (*_spec_values(config.sweep), config.output_format, config.out, config.verify, config.mass)
-        head = _JSON_HEAD % tuple(map(json.dumps, echo))
+        # json.dumps writes a NUL inside a string as \u0000, so a raw NUL can only be a separator
+        head = _JSON_HEAD % tuple(json.dumps(echo, separators=("\0", ":"))[1:-1].split("\0"))
     if not records:
         stream.write(head + "[]\n}\n")
         return
-    # less the last separator, each value is followed by ",\n" or, last in its record, by "\n";
-    # no key holds "nan" or "inf"
-    records = records[:-2].replace(".,\n", ".0,\n").replace(".\n", ".0\n")
-    records = records.replace("nan", "NaN").replace("inf", "Infinity")
+    records = records[:-2]  # less the last separator
+    # a cell renders as nan or inf only if non-finite, and ends in a bare "." only if its 12-digit
+    # rounding reaches 1e11; a norm below 1e10 rules out both, and a NaN norm is not below it
+    if not math.hypot(*cells) < 1e10:
+        # each value is followed by ",\n" or, last in its record, by "\n"; no key holds "nan" or "inf"
+        records = records.replace(".,\n", ".0,\n").replace(".\n", ".0\n")
+        records = records.replace("nan", "NaN").replace("inf", "Infinity")
     stream.write(head + "[\n" + records + "\n ]\n}\n")

@@ -10,10 +10,13 @@ import re
 import struct
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hawkent.measures
 import hawkent.model
@@ -430,6 +433,23 @@ def _old_json(rows, config):
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _scanned_json(rows, config=None):
+    """``emit_json`` with every fix-up applied to every output and the head filled value by value, kept as the oracle."""
+    rows = list(map(tuple, rows))
+    records = hawkent.sweep._render(hawkent.sweep._JSON_RECORD * len(rows), tuple(chain.from_iterable(rows)))
+    if config is None:
+        head = hawkent.sweep._JSON_HEAD_NO_CONFIG
+    else:
+        echo = (*hawkent.sweep._spec_values(config.sweep), config.output_format, config.out, config.verify,
+                config.mass)
+        head = hawkent.sweep._JSON_HEAD % tuple(map(json.dumps, echo))
+    if not records:
+        return head + "[]\n}\n"
+    records = records[:-2].replace(".,\n", ".0,\n").replace(".\n", ".0\n")
+    records = records.replace("nan", "NaN").replace("inf", "Infinity")
+    return head + "[\n" + records + "\n ]\n}\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -483,6 +503,33 @@ EDGE_CONFIGS = {
     "unverified_mass": _mass_config(2.5, verify=False),
     # stored as the Python float 1.0, and echoed as one
     "float32_mass": _mass_config(np.float32(1.0)),
+    # the head's values are split at raw NULs, which json.dumps never leaves in a string
+    "nul_out": _config(output_format="json", out='\0, \u2028 " \\ \U0001f600'),
+}
+
+
+def _guard_rows(cell, column=7):
+    """Three rows of cells in (-1e10, 1e10), with ``cell`` in row 1 at ``column``, away from the first cell."""
+    small = (0.5, -0.25, 1e-300, -0.0, 3.0, 0.125, -7.5, 1e-5)
+    rows = [[small[(i + k) % len(small)] for k in range(len(CSV_COLUMNS))] for i in range(3)]
+    rows[1][column] = cell
+    return [tuple(row) for row in rows]
+
+
+# one cell each that the JSON fix-ups must see, or that stops them being skipped: the first three
+# end in a bare "." (99999999999.99995 rounds up to it), and 1e10 is the edge itself; then cells
+# just inside the edge, with subnormals and -0.0
+GUARD_ROW_SETS = {
+    "rounds_up_to_1e11": _guard_rows(99999999999.99995),
+    "1e11_ends_its_record": _guard_rows(1e11, column=len(CSV_COLUMNS) - 1),
+    "minus_1e11": _guard_rows(-1e11),
+    "nan": _guard_rows(math.nan),
+    "minus_inf": _guard_rows(-math.inf),
+    "1e10": _guard_rows(1e10),
+    "inside": _guard_rows(9999999999.99) + [(5e-324, -5e-324, 2.2250738585072014e-308, -0.0) * 3 + (0.0, -0.0, 1e-310)],
+    "inside_negative": _guard_rows(-9999999999.99, column=0),
+    # each cell is inside, but their norm is not
+    "both_signs_inside": [row[:7] + (9999999999.99, -9999999999.99) + row[9:] for row in _guard_rows(0.5)],
 }
 
 
@@ -518,6 +565,32 @@ CSV_ROW_SETS = {**EDGE_ROW_SETS, "read_off": READ_OFF_ROWS}
 FINITE_ROW_SETS = {
     name: rows for name, rows in CSV_ROW_SETS.items() if all(math.isfinite(v) for row in rows for v in row)
 }
+
+
+# cells that need no JSON fix-up: small ints, and doubles in [-1, 1], subnormals and -0.0 included
+_PLAIN_CELLS = st.one_of(st.integers(-3, 3), st.floats(-1.0, 1.0))
+# cells that may: any double, NaN and the infinities included, and doubles within 3 ulps of +-1e10,
+# +-1e11 and +-1e12
+_EDGE_CELLS = st.one_of(
+    st.builds(
+        lambda edge, ulps: edge + ulps * math.ulp(edge),
+        st.sampled_from((1e10, 1e11, 1e12, -1e10, -1e11, -1e12)),
+        st.integers(-3, 3),
+    ),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.floats(),
+)
+
+
+@st.composite
+def _drawn_rows(draw):
+    """Up to three rows of plain cells, one or two of them replaced by edge cells."""
+    width = len(CSV_COLUMNS)
+    count = draw(st.integers(0, 3)) * width
+    cells = draw(st.lists(_PLAIN_CELLS, min_size=count, max_size=count))
+    for _ in range(draw(st.integers(1, 2)) if cells else 0):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_EDGE_CELLS)
+    return [tuple(cells[i:i + width]) for i in range(0, len(cells), width)]
 
 
 class TestEmissionBytes:
@@ -593,6 +666,36 @@ class TestEmissionBytes:
         out = io.StringIO()
         emit_json(READ_OFF_ROWS, out)
         _assert_same_json_values(out.getvalue(), _old_json(READ_OFF_ROWS, None))
+
+    @pytest.mark.parametrize("rows", GUARD_ROW_SETS.values(), ids=GUARD_ROW_SETS.keys())
+    def test_json_fix_ups_are_skipped_only_where_they_find_nothing(self, rows):
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        emit_csv(rows, csv_out)
+        emit_json(rows, json_out)
+        assert json_out.getvalue() == _scanned_json(rows)
+        cells = [float(cell) for line in csv_out.getvalue().splitlines()[1:] for cell in line.split(",")]
+        if all(map(math.isfinite, cells)):
+            records = json.loads(json_out.getvalue(), parse_constant=_reject_constant)["rows"]
+            values = [v for record in records for v in record.values()]
+            assert struct.pack(f"<{len(cells)}d", *values) == struct.pack(f"<{len(cells)}d", *cells)
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS.values(), ids=EDGE_CONFIGS.keys())
+    def test_json_head_is_each_value_as_json_dumps_writes_it(self, config):
+        out = io.StringIO()
+        emit_json([], out, config)
+        assert out.getvalue() == _scanned_json([], config)
+        if config is not None:
+            assert json.loads(out.getvalue())["config"]["out"] == config.out
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(_drawn_rows())
+    def test_emitters_match_their_oracles_on_drawn_rows(self, rows):
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        emit_csv(rows, csv_out)
+        emit_json(rows, json_out)
+        assert csv_out.getvalue() == _old_csv(rows)
+        assert json_out.getvalue() == _scanned_json(rows)
+
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
     """Add ``delta`` to the closed-form ``entries`` of ``hawkent.sweep._closed_table``.
