@@ -34,8 +34,7 @@ from .sweep import (
     RunConfig,
     SweepSpec,
     VerificationError,
-    _flat_cells,
-    _render_lines,
+    _csv_text,
     emit_csv,
     emit_json,
     evaluate_point,
@@ -205,7 +204,7 @@ def figure_command(
     rows = run_sweep(RunConfig(sweep=spec))
     names = ("temperature", *_FIGURE_COLUMNS[which])
     cells = operator.itemgetter(*[CSV_COLUMNS.index(name) for name in names])
-    return ",".join(names) + "\n" + _render_lines(_flat_cells(map(cells, rows), len(names)), len(names))
+    return _csv_text(names, map(cells, rows))
 
 
 def limits_command(alpha: float) -> str:

@@ -21,26 +21,28 @@ closed-form algebra nor the thermal weights it starts from.  The
 spectral route never reads a closed-form value or weight, and the
 emitted values are the closed forms either way.
 
-Each emitter flattens its rows once, through :func:`_flat_cells`, which
-checks every row's width, and renders the cells once, through
-:func:`_render_lines`: one ``%`` call on a template of all the lines
-renders every cell with 12 significant digits, and one text replace on
-the result folds ``-0.0`` into ``0.0``.  CSV writes those lines as they
-are.  JSON fills a template of all the records, in the ``indent=1``
-layout, with the same cells, and two text fix-ups make them strict JSON
-numbers: a cell with 12 integer digits, which ends in a bare ``.``,
-gets a trailing ``0``, and ``nan``, ``inf`` and ``-inf`` take
-``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.  The fix-ups are
-skipped on cells that cannot need them (see :func:`emit_json`).  Every
-JSON value is therefore its CSV cell, and parses to the exact value of
-that cell.  The head, the config echo, is one module-level template in
-the same layout, keyed by the fields of :class:`SweepSpec` and then
-``format``, ``out``, ``verify`` and ``mass``; one ``json.dumps`` call
-encodes all the values, each as ``json.dumps`` writes it alone.  The
-gates of :class:`SweepSpec` and :class:`RunConfig` leave only strings,
-finite floats, ints, bools and None there, which ``json.dumps`` writes
-as the ``indent=1`` layout does.  :func:`format_number` renders single
-values with the same cell format, for the CLI's text reports.
+Each emitter flattens and renders its rows once, through
+:func:`_render_rows`: it checks every row's width, then one ``%`` call
+on a template of all the lines renders every cell with 12 significant
+digits, and one text replace on the result folds ``-0.0`` into
+``0.0``.  All CSV, :func:`emit_csv`'s and the CLI's figure tables, is
+written by :func:`_csv_text`: a header, then one line of
+comma-separated cells per row.  JSON fills a template of all the
+records, in the ``indent=1`` layout, with the same cells, and two text
+fix-ups make them strict JSON numbers: a cell with 12 integer digits,
+which ends in a bare ``.``, gets a trailing ``0``, and ``nan``,
+``inf`` and ``-inf`` take ``json``'s ``NaN``, ``Infinity`` and
+``-Infinity``.  The fix-ups are skipped on cells that cannot need them
+(see :func:`emit_json`).  Every JSON value is therefore its CSV cell,
+and parses to the exact value of that cell.  The head, the config
+echo, is one module-level template in the same layout, keyed by the
+fields of :class:`SweepSpec` and then ``format``, ``out``, ``verify``
+and ``mass``; one ``json.dumps`` call encodes all the values, each as
+``json.dumps`` writes it alone.  The gates of :class:`SweepSpec` and
+:class:`RunConfig` leave only strings, finite floats, ints, bools and
+None there, which ``json.dumps`` writes as the ``indent=1`` layout
+does.  :func:`format_number` renders single values with the same cell
+format, for the CLI's text reports.
 """
 
 from __future__ import annotations
@@ -313,11 +315,14 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return _rows(points, config.verify)
 
 
-def _flat_cells(rows, width: int) -> tuple:
-    """The cells of ``rows``, row after row, in one tuple.
+def _render_rows(rows, width: int, line: str) -> tuple[tuple, str]:
+    """``(cells, text)``: the cells of ``rows``, row after row, and each row filled into ``line``.
 
     Raises ``ValueError`` for the first row whose width is not
     ``width``, so a bad row is caught before anything is rendered.
+    ``line`` holds one ``%#.12g`` conversion per cell.  All lines are
+    rendered by one ``%`` call on a template of all the lines, with every
+    ``-0.0`` printed as ``0.0``.
     """
     cells = []
     for i, row in enumerate(rows):
@@ -325,19 +330,14 @@ def _flat_cells(rows, width: int) -> tuple:
         cells += row
         if len(cells) - start != width:
             raise ValueError(f"row {i} has {len(cells) - start} values, expected {width}")
-    return tuple(cells)
+    cells = tuple(cells)
+    return cells, _render(line * (len(cells) // width), cells)
 
 
-def _render_lines(cells: tuple, width: int, line: str | None = None) -> str:
-    """The flat cells, ``width`` to a line, each line filled into ``line``: by default comma-separated cells and a newline.
-
-    ``line`` holds one ``%#.12g`` conversion per cell.  All lines are
-    rendered by one ``%`` call on a template of all the lines, with every
-    ``-0.0`` printed as ``0.0``.
-    """
-    if line is None:
-        line = ",".join([_CELL] * width) + "\n"
-    return _render(line * (len(cells) // width), cells)
+def _csv_text(names, rows) -> str:
+    """CSV text: the header ``names``, then one line of comma-separated cells per row of ``rows``."""
+    line = ",".join([_CELL] * len(names)) + "\n"
+    return ",".join(names) + "\n" + _render_rows(rows, len(names), line)[1]
 
 
 def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
@@ -346,8 +346,7 @@ def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
     Every row is rendered before anything is written, so a row of the
     wrong width raises ``ValueError`` and leaves ``stream`` untouched.
     """
-    cells = _flat_cells(rows, len(CSV_COLUMNS))
-    stream.write(",".join(CSV_COLUMNS) + "\n" + _render_lines(cells, len(CSV_COLUMNS)))
+    stream.write(_csv_text(CSV_COLUMNS, rows))
 
 
 def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
@@ -356,7 +355,7 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
     The head is the config echo (or null), its values encoded by one
     ``json.dumps`` call and filled into one template (see the module
     docstring).  Each row is an object from column name to the row's CSV
-    cell, rendered by the same helpers as :func:`emit_csv`; a cell ending
+    cell, rendered by the same helper as :func:`emit_csv`; a cell ending
     in a bare ``.`` is written with a trailing ``0``, and NaN and the
     infinities take ``json``'s spelling.  The fix-ups are skipped when
     the cells' Euclidean norm is below 1e10: then no cell is non-finite
@@ -365,8 +364,8 @@ def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = 
     agree exactly.  Rows of the wrong width raise ``ValueError`` before
     anything is written.
     """
-    cells = _flat_cells(rows, len(CSV_COLUMNS))  # raises on a bad row before anything is written
-    records = _render_lines(cells, len(CSV_COLUMNS), _JSON_RECORD)
+    # raises on a bad row before anything is written
+    cells, records = _render_rows(rows, len(CSV_COLUMNS), _JSON_RECORD)
     if config is None:
         head = _JSON_HEAD_NO_CONFIG
     else:
