@@ -246,14 +246,17 @@ def validate_density(matrix, dims) -> DensityMatrix:
 def _binary_entropies(p: np.ndarray) -> np.ndarray:
     """Binary entropy in bits of each cell of an ``(N, k)`` block of probabilities in [0, 1].
 
-    Logarithms are libm's ``math.log2`` (numpy's differs in the last bit
-    on some arguments), in the order ``0.0 - p log2 p - q log2 q``; a zero
-    cell takes ``log2(1) = 0``, so its term is ``+0.0``.  There is no clamp.
+    Each cell is ``0.0 - p log2 p - (1 - p) log1p(-p) / ln 2``, its
+    logarithms libm's ``math.log2`` and ``math.log1p`` (numpy's differ in
+    the last bit on some arguments).  ``log1p`` keeps the second term,
+    about ``p / ln 2``, for a small ``p``, where ``log2(1 - p)`` would
+    lose it once ``1 - p`` rounds to 1.  A cell of 0 or 1 takes a zero
+    logarithm for its zero-weight term, so it comes out ``+0.0``.  There
+    is no clamp.
     """
-    pq = np.concatenate((p, 1.0 - p))
-    cells = np.where(pq > 0.0, pq, 1.0).ravel().tolist()
-    terms = pq * np.fromiter(map(math.log2, cells), float, len(cells)).reshape(pq.shape)
-    return 0.0 - terms[: len(p)] - terms[len(p) :]
+    log_p = np.fromiter(map(math.log2, np.where(p > 0.0, p, 1.0).ravel().tolist()), float, p.size)
+    log_q = np.fromiter(map(math.log1p, np.where(p < 1.0, -p, 0.0).ravel().tolist()), float, p.size)
+    return 0.0 - p * log_p.reshape(p.shape) - (1.0 - p) * log_q.reshape(p.shape) / math.log(2.0)
 
 
 def binary_entropy(p: float) -> float:

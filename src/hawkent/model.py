@@ -263,14 +263,19 @@ def _closed_table(points) -> np.ndarray:
 
     Returns the ``(N, 15)`` table of rows in the order of the sweep's
     CSV columns, each point followed by the twelve closed forms of
-    :func:`closed_forms`.  The table's rule for bits is libm for ``exp``
-    and ``log2``, numpy for ``+ - * /`` and ``sqrt``: one Python pass
-    takes only libm's weights, as numpy's ``exp`` differs from libm's
-    in the last bit on some arguments, and the entropies take libm's
-    ``log2``.  Each closed form is then one numpy expression over the
-    columns, every square a product, in the order of operations of the
-    scalar formulas.  Those numpy operations are correctly rounded, so a
-    point's cells have the same bits whatever the batch around it.
+    :func:`closed_forms`.  The table's rule for bits is libm for
+    ``exp``, ``log2`` and ``log1p``, numpy for ``+ - * /`` and ``sqrt``:
+    one Python pass takes only libm's weights, as numpy's ``exp``
+    differs from libm's in the last bit on some arguments, and the
+    entropies take libm's ``log2`` and ``log1p``.  Each closed form is
+    then one numpy expression over the columns, every square a product,
+    in the order of operations of the scalar formulas.  Those numpy
+    operations are correctly rounded, so a point's cells have the same
+    bits whatever the batch around it.  The EoF takes the binary entropy
+    of the small probability ``C^2 / (2 (1 + sqrt(1 - C^2)))``, which
+    equals ``(1 - sqrt(1 - C^2)) / 2`` without cancelling for small
+    ``C``: the EoF keeps its digits while that probability is a normal
+    float, for C above about 3e-154.
     """
     columns = [(a, w, t, *_weights(w, t)) for a, w, t in points]
     cells = itertools.chain.from_iterable(columns)
@@ -290,7 +295,7 @@ def _closed_table(points) -> np.ndarray:
     c = table[:, 3:6]
     # EoF from the concurrence, then S(A) = H2(a^2), S(I) = H2(a^2 f-^2), S(II) = H2(a^2 f+^2)
     p = np.empty((n, 6))
-    p[:, :3] = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
+    p[:, :3] = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))))
     p[:, 3] = a2
     p[:, 4:] = a2[:, None] * f2
     entropies = _binary_entropies(p)

@@ -291,9 +291,10 @@ class TestClosedFormsAgainstSpectralRoute:
             assert abs(got - want) <= 1e-14
 
 
-# The scalar closed forms that sweeps evaluated one point at a time before
-# they evaluated one table, copied verbatim: the table must reproduce them
-# bit for bit, sign of zero included.
+# The closed forms as scalar formulas, one point at a time, in the table's
+# order of operations: the EoF from its small probability
+# C^2 / (2 (1 + sqrt(1 - C^2))), and the binary entropy's second term through
+# log1p.  The table must reproduce them bit for bit, sign of zero included.
 def _ref_weights(omega, temperature):
     if temperature == 0.0:
         return 1.0, 0.0
@@ -310,9 +311,10 @@ def _ref_binary_entropy(p):
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     out = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            out -= q * math.log2(q)
+    if p > 0.0:
+        out -= p * math.log2(p)
+    if p < 1.0:
+        out -= (1.0 - p) * math.log1p(-p) / math.log(2.0)
     return out
 
 
@@ -320,7 +322,7 @@ def _ref_row(alpha, omega, temperature):
     f_minus, f_plus = _ref_weights(omega, temperature)
     pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
     c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
-    eof = [_ref_binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - x * x))) / 2.0) for x in c]
+    eof = [_ref_binary_entropy(x * x / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - x * x))))) for x in c]
     a2 = alpha * alpha
     b2 = 1.0 - a2
     fm2 = f_minus * f_minus
