@@ -27,22 +27,22 @@ on a template of all the lines renders every cell with 12 significant
 digits, and one text replace on the result folds ``-0.0`` into
 ``0.0``.  All CSV, :func:`emit_csv`'s and the CLI's figure tables, is
 written by :func:`_csv_text`: a header, then one line of
-comma-separated cells per row.  JSON fills a template of all the
-records, in the ``indent=1`` layout, with the same cells, and two text
-fix-ups make them strict JSON numbers: a cell with 12 integer digits,
-which ends in a bare ``.``, gets a trailing ``0``, and ``nan``,
-``inf`` and ``-inf`` take ``json``'s ``NaN``, ``Infinity`` and
-``-Infinity``.  The fix-ups are skipped on cells that cannot need them
-(see :func:`emit_json`).  Every JSON value is therefore its CSV cell,
-and parses to the exact value of that cell.  The head, the config
-echo, is one module-level template in the same layout, keyed by the
-fields of :class:`SweepSpec` and then ``format``, ``out``, ``verify``
-and ``mass``; one ``json.dumps`` call encodes all the values, each as
-``json.dumps`` writes it alone.  The gates of :class:`SweepSpec` and
-:class:`RunConfig` leave only strings, finite floats, ints, bools and
-None there, which ``json.dumps`` writes as the ``indent=1`` layout
-does.  :func:`format_number` renders single values with the same cell
-format, for the CLI's text reports.
+comma-separated cells per row.
+JSON fills a template of all the records, in the ``indent=1``
+layout, with the same cells, and two text fix-ups make them strict JSON
+numbers: a cell with 12 integer digits, which ends in a bare ``.``,
+gets a trailing ``0``, and ``nan``, ``inf`` and ``-inf`` take
+``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.  The fix-ups are
+skipped on cells that cannot need them (see :func:`emit_json`).  Every
+JSON value is therefore its CSV cell, and parses to the exact value of
+that cell.  The head, the config echo, is one module-level template in
+the same layout, keyed by the fields of :class:`SweepSpec` and then
+``format``, ``out``, ``verify`` and ``mass``; one ``json.dumps`` call
+encodes all the values, each as ``json.dumps`` writes it alone.  The
+gates of :class:`SweepSpec` and :class:`RunConfig` leave only strings,
+finite floats, ints, bools and None there, which ``json.dumps`` writes
+as the ``indent=1`` layout does.  :func:`format_number` renders single
+values with the same cell format, for the CLI's text reports.
 """
 
 from __future__ import annotations

@@ -9,12 +9,12 @@ takes its small probability ``C^2 / (2 (1 + sqrt(1 - C^2)))`` and
 resolve their O(f+^2) differences of entropies.
 
 A float cell must lie within ``_rel_bound`` of the exact value: a few
-eps, plus the ``x / 2`` eps that rounding ``x = w / T`` once carries into
-``f+ = exp(-x / 2) / ...`` and on into C (``x / 4``) and EoF
+eps, plus the ``x / 2`` eps that rounding ``x = w / T`` once carries
+into ``f+ = exp(-x / 2) / ...`` and on into C (``x / 4``) and EoF
 (``x / 2``).  Its 12-digit text must be the exact value rounded to 12
-digits.  A cell whose exact value lies within its bound of a rounding
-boundary may round either way; such cells are named in
-``NEAR_BOUNDARY``, and only they are spared the text check.  A value below the smallest normal
+digits.  Only a cell named in ``NEAR_BOUNDARY`` (none is today) may
+print the other neighbour of a rounding boundary that lies within its
+bound of the exact value.  An exact value below the smallest normal
 double has fewer than 53 bits there, or none: its cell must only lie
 below the smallest normal double too.
 """
