@@ -42,9 +42,13 @@ Both marginal spectra, the joint spectrum and the EoF pair go through
 one ``x log2 x`` pass.  :func:`measure_stack` takes one ``eigh`` of
 the stack and embeds ``M`` of ``L = V sqrt(e)``, so ``H`` is 8x8 and
 the stack costs three LAPACK calls: ``eigh`` and two ``eigvalsh``.  A
-verified sweep starts from the 4x2 factor that the amplitudes of its
-pure three-mode state already are, and takes the joint spectrum in
-closed form from the 2x2 Gram matrix ``L^dagger L``.  It forms the
+verified sweep starts from the three 4x2 factors that the amplitudes of
+each pure three-mode state already are, and takes each pair's joint
+spectrum in closed form from the 2x2 Gram matrix ``L^dagger L``.  That
+Gram matrix is the state of the traced-out qubit, so the three Gram
+spectra of a point are also its three one-qubit spectra: each pair
+reads its two marginal spectra off the other two pairs' Gram spectra,
+and a point takes three two-level spectra, not nine.  It forms the
 Gram entries and ``M`` as gathered sums of four products over the
 whole stack, where a batched matmul would make one BLAS call per 4x2
 matrix.  Its ``H`` is 4x4 like the partial transposes, and one gather
@@ -438,19 +442,29 @@ def _eigensolver_input(m: np.ndarray, flip: np.ndarray) -> np.ndarray:
     return entries[:, _EIGVALSH_ENTRIES]
 
 
-def _factor_measures(factors: np.ndarray) -> np.ndarray:
-    """The ``(K, 4)`` measures of the states ``L L^dagger`` of a ``(K, 4, 2)`` factor stack.
+# Each pair's two kept qubits, in ``ModePair`` order, as the pairs that trace
+# them out: the Gram matrix of the A_I, A_II and I_II factors is the state of
+# II, I and A, so the marginals of A_I are those of I_II and A_II, and so on.
+_MARGINAL_PAIRS = np.array([[2, 1], [2, 0], [1, 0]])
 
-    Each ``L`` holds the amplitudes of a pure three-qubit state, the
-    kept pair indexing the rows and the traced-out qubit the columns,
+
+def _factor_measures(factors: np.ndarray) -> np.ndarray:
+    """The ``(N, 3, 4)`` measures of the pair states of N pure three-qubit states.
+
+    ``factors`` holds their ``(N, 3, 4, 2)`` factors ``L`` in ``ModePair``
+    order, as ``model._pair_factors`` returns them: the amplitudes with
+    the kept pair indexing the rows and the traced-out qubit the columns,
     so ``L L^dagger`` is that pair's reduced state.  By the Schmidt
     decomposition its nonzero spectrum is that of the 2x2 Gram matrix
-    ``L^dagger L``, taken in closed form together with both marginal
-    spectra (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  The
+    ``L^dagger L``, which is the state of the traced-out qubit, up to a
+    transpose (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  So
+    the three Gram spectra of a point, taken in closed form, are also
+    its one-qubit spectra, and each pair's two marginal spectra are read
+    off the other two pairs' (``_MARGINAL_PAIRS``).  The
     Gram entries and ``M = L^T (sy x sy) L`` are gathered sums of four
     products (:func:`_factor_products`), and one gather lays out each
     4x4 embedding ``H`` beside its partial transpose, so the whole
-    stack makes one LAPACK call, an ``eigvalsh`` of ``2K`` 4x4 matrices.
+    stack makes one LAPACK call, an ``eigvalsh`` of ``6N`` 4x4 matrices.
     ``L L^dagger`` stays a batched matmul: the partial transposes are
     then those of the states :func:`measure_stack` is handed, bit for
     bit, and so are the min PT eigenvalues.  The built states pass the
@@ -458,14 +472,15 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     Positivity holds by construction: the rest of the spectrum is
     exactly zero, so the lowest eigenvalue is ``min(0, gram_low)``.
     """
-    m = factors @ factors.conj().swapaxes(-1, -2)
-    products = _factor_products(factors)
-    entries = np.concatenate((products[:, None, :3], _marginal_entries(m)), axis=1)
-    spectra = _two_level_spectra(entries)
-    joint = spectra[:, 0]
+    n = len(factors)
+    flat = factors.reshape(-1, 4, 2)
+    m = flat @ flat.conj().swapaxes(-1, -2)
+    products = _factor_products(flat)
+    joint = _two_level_spectra(products[:, :3])
+    marginals = joint.reshape(n, 3, 2).take(_MARGINAL_PAIRS, axis=1).reshape(-1, 2, 2)
     _check_density(m, np.minimum(joint[:, 0], 0.0))
     eigenvalues = _eigvalsh(_eigensolver_input(m, products[:, 3:]))
-    return _measures(eigenvalues[:, 0, 2:], eigenvalues[:, 1, 0], joint, spectra[:, 1:])
+    return _measures(eigenvalues[:, 0, 2:], eigenvalues[:, 1, 0], joint, marginals).reshape(n, 3, 4)
 
 
 def concurrence(rho: DensityMatrix) -> float:

@@ -26,7 +26,6 @@ builder, :func:`_amplitudes`, so a wrong weight shows as a gap.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -177,17 +176,26 @@ def hawking_temperature(mass: float) -> float:
     return temperature
 
 
-def _weights(omega: float, temperature: float) -> tuple[float, float]:
-    """``(f-, f+)`` at ``(omega, T)`` given as checked Python floats.
+# -x and -x / 2 as products: scaling by -1 and -0.5 rounds as negating and halving do
+_EXPONENT_SCALES = np.array([[-1.0], [-0.5]])
 
-    At T = 0 the pair is exactly (1, 0).  Evaluated through ``x = w/T``
-    so that large ratios underflow gracefully instead of overflowing.
+
+def _weights(omega: np.ndarray, temperature: np.ndarray) -> np.ndarray:
+    """``(2, N)`` rows ``f-`` and ``f+`` at ``(N,)`` columns of checked ``omega`` and ``T``.
+
+    Evaluated through ``x = w/T`` so that large ratios underflow
+    gracefully instead of overflowing.  At T = 0, and wherever ``w/T``
+    overflows, ``x`` is ``inf`` and the pair is exactly (1, 0).  Both
+    exponentials, of ``-x`` and ``-x / 2``, are libm's, taken in one
+    pass over the columns; the rest is numpy's (see :func:`_closed_table`).
     """
-    if temperature == 0.0:
-        return 1.0, 0.0
-    x = omega / temperature
-    denom = math.sqrt(1.0 + math.exp(-x))
-    return 1.0 / denom, math.exp(-x / 2.0) / denom
+    with np.errstate(divide="ignore", over="ignore"):
+        x = omega / temperature
+    exponents = (_EXPONENT_SCALES * x).ravel().tolist()
+    weights = np.fromiter(map(math.exp, exponents), float, len(exponents)).reshape(2, -1)
+    root = np.sqrt(1.0 + weights[0])
+    weights[0] = 1.0
+    return weights / root
 
 
 def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
@@ -197,7 +205,7 @@ def thermal_factors(omega: float, temperature: float) -> ThermalFactors:
     at T = 0 the pair is exactly (1, 0).
     """
     _, omega, temperature = check_params(omega=omega, temperature=temperature)
-    return ThermalFactors(*_weights(omega, temperature))
+    return ThermalFactors(*_weights(np.array([omega]), np.array([temperature]))[:, 0].tolist())
 
 
 def _amplitudes(alpha, omega, temperature) -> np.ndarray:
@@ -259,15 +267,17 @@ def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
 
 
 def _closed_table(points) -> np.ndarray:
-    """Sweep rows of checked ``(alpha, omega, T)`` points.
+    """Sweep rows of an ``(N, 3)`` block of checked ``(alpha, omega, T)`` points.
 
-    Returns the ``(N, 15)`` table of rows in the order of the sweep's
-    CSV columns, each point followed by the twelve closed forms of
-    :func:`closed_forms`.  The table's rule for bits is libm for
+    ``points`` is any array-like of that shape, such as a list of
+    tuples.  Returns the ``(N, 15)`` table of rows in the order of the
+    sweep's CSV columns, each point followed by the twelve closed forms
+    of :func:`closed_forms`.  The table's rule for bits is libm for
     ``exp``, ``log2`` and ``log1p``, numpy for ``+ - * /`` and ``sqrt``:
-    one Python pass takes only libm's weights, as numpy's ``exp``
-    differs from libm's in the last bit on some arguments, and the
-    entropies take libm's ``log2`` and ``log1p``.  Each closed form is
+    the thermal weights (:func:`_weights`) take libm's ``exp`` in one
+    pass over the whole column, as numpy's ``exp`` differs from libm's
+    in the last bit on some arguments, and the entropies take libm's
+    ``log2`` and ``log1p``.  Each closed form is
     then one numpy expression over the columns, every square a product,
     in the order of operations of the scalar formulas.  Those numpy
     operations are correctly rounded, so a point's cells have the same
@@ -277,27 +287,25 @@ def _closed_table(points) -> np.ndarray:
     ``C``: the EoF keeps its digits while that probability is a normal
     float, for C above about 3e-154.
     """
-    columns = [(a, w, t, *_weights(w, t)) for a, w, t in points]
-    cells = itertools.chain.from_iterable(columns)
-    weights = np.fromiter(cells, float, 5 * len(columns)).reshape(-1, 5)
-    alpha, f_minus, f_plus = weights[:, [0, 3, 4]].T
+    points = np.asarray(points, float)
+    alpha, omega, temperature = points.T
+    weights = _weights(omega, temperature)  # f-, f+
+    f2 = weights * weights
     a2 = alpha * alpha
     b2 = 1.0 - a2
-    f2 = weights[:, 3:] * weights[:, 3:]  # f-^2, f+^2
-    n = len(weights)
+    n = len(points)
     table = np.empty((n, 15))
-    table[:, :3] = weights[:, :3]
+    table[:, :3] = points
     two_alpha = 2.0 * alpha
     pure = two_alpha * np.sqrt(b2)
-    table[:, 3] = pure * f_minus
-    table[:, 4] = pure * f_plus
-    table[:, 5] = two_alpha * alpha * f_minus * f_plus
-    c = table[:, 3:6]
+    table[:, 3:5] = (pure * weights).T
+    table[:, 5] = two_alpha * alpha * weights[0] * weights[1]
+    cc = table[:, 3:6] * table[:, 3:6]
     # EoF from the concurrence, then S(A) = H2(a^2), S(I) = H2(a^2 f-^2), S(II) = H2(a^2 f+^2)
     p = np.empty((n, 6))
-    p[:, :3] = c * c / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))))
+    p[:, :3] = cc / (2.0 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - cc))))
     p[:, 3] = a2
-    p[:, 4:] = a2[:, None] * f2
+    p[:, 4:] = (a2 * f2).T
     entropies = _binary_entropies(p)
     table[:, 6:9] = entropies[:, :3]
     s_a, s_i, s_ii = entropies[:, 3:].T
@@ -305,12 +313,12 @@ def _closed_table(points) -> np.ndarray:
     table[:, 10] = s_a + s_ii - s_i
     table[:, 11] = s_i + s_ii - s_a
     # (d, 4 c^2) of the A_I, A_II and I_II partial transposes, with d
-    # a^2 f+^2, a^2 f-^2 and 1 - a^2
-    d = p[:, [5, 4, 3]]
+    # a^2 f+^2, a^2 f-^2 and 1 - a^2: p's last three columns, reversed, as p is not read again
+    d = p[:, 5:2:-1]
     d[:, 2] = b2
     cc4 = np.empty((n, 3))
-    cc4[:, :2] = (4.0 * a2 * b2)[:, None] * f2
-    cc4[:, 2] = 4.0 * a2 * a2 * f2[:, 0] * f2[:, 1]
+    cc4[:, :2] = (4.0 * a2 * b2 * f2).T
+    cc4[:, 2] = 4.0 * a2 * a2 * f2[0] * f2[1]
     table[:, 12:] = 0.5 * (d - np.sqrt(d * d + cc4))
     return table
 

@@ -1,8 +1,10 @@
 """Parameter sweeps over the three-mode model, with CSV/JSON emission.
 
 A sweep varies exactly one of (alpha, omega, temperature) over an
-ascending grid while the other two stay fixed.  The whole grid is
-evaluated as one table: one Python pass takes the thermal weights of
+ascending grid while the other two stay fixed.  The grid's points are
+one ``(N, 3)`` block, the grid down the varied column and each fixed
+value down its own, and the whole grid is evaluated as one table: the
+thermal weights take libm's ``exp`` in one pass over the column of
 every point, each closed form is then one numpy expression over the
 ``(N,)`` columns, and the rows are read off the ``(N, 15)`` table.  The
 cells have the bits of :func:`~hawkent.model.closed_forms` at each
@@ -13,7 +15,8 @@ own path to the thermal weights, and reshaped they give each pair's 4x2
 factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 :mod:`hawkent.measures` measures all ``3N`` pair states from those
 factors at once, in one LAPACK call and with no eigensolver on the
-4x4 states, and compares them with the table's ``(N, 3, 4)`` view of
+4x4 states, each pair's marginal spectra read off the other two pairs'
+Gram spectra, and compares them with the table's ``(N, 3, 4)`` view of
 the closed forms.  The run aborts on the first disagreement beyond
 ``VERIFY_ATOL`` (1e-12, absolute) in grid order (a NaN on either side
 is a disagreement), so emitted numbers are never untested: neither the
@@ -257,8 +260,7 @@ def _verify(table: np.ndarray) -> None:
     than ``VERIFY_ATOL``.
     """
     n = len(table)
-    factors = _pair_factors(_amplitudes(*table[:, :3].T)).reshape(-1, 4, 2)
-    spectral = _factor_measures(factors).reshape(n, len(_PAIRS), 4)
+    spectral = _factor_measures(_pair_factors(_amplitudes(*table[:, :3].T)))
     # CSV columns after the parameters run measure by measure, pair by pair
     closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)
     # NaN on either side fails: it is never within the tolerance
@@ -274,7 +276,7 @@ def _verify(table: np.ndarray) -> None:
 
 
 def _rows(points, verify: bool) -> list[SweepRow]:
-    """The rows of checked points from one table, cross-checked if ``verify``."""
+    """The rows of an ``(N, 3)`` block of checked points from one table, cross-checked if ``verify``."""
     table = _closed_table(points)
     if verify:
         _verify(table)
@@ -299,19 +301,17 @@ def evaluate_point(
 def run_sweep(config: RunConfig) -> list[SweepRow]:
     """Evaluate the sweep grid in ascending order.
 
-    The whole grid is evaluated as one table (see the module
-    docstring); ``SweepSpec`` has already range-checked it.  With
+    The whole grid is evaluated as one table, of one ``(N, 3)`` block
+    of points (see the module docstring); ``SweepSpec`` has already
+    range-checked it.  With
     ``config.verify`` on, the table is then checked in one stacked
     spectral pass.  The rows, and so the emitted bytes, are the same as
     from :func:`evaluate_point` called on each grid value in turn.
     """
     spec = config.sweep
-    point = [getattr(spec, name) for name in _VARIABLES]
-    varied = _VARIABLES.index(spec.vary)
-    points = []
-    for value in grid_values(spec).tolist():
-        point[varied] = value
-        points.append(tuple(point))
+    points = np.empty((spec.steps, len(_VARIABLES)))
+    for i, name in enumerate(_VARIABLES):
+        points[:, i] = grid_values(spec) if name == spec.vary else getattr(spec, name)
     return _rows(points, config.verify)
 
 

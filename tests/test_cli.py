@@ -267,13 +267,14 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("mutation", ["doubled_ratio", "swapped"])
     def test_wrong_thermal_weights_make_figure_2_exit_3(self, capsys, monkeypatch, mutation):
+        # the helper maps (N,) columns of omega and T to (2, N) rows f- and f+
         weights = hawkent.model._weights
         if mutation == "doubled_ratio":
             def wrong(omega, temperature):
                 return weights(2.0 * omega, temperature)
         else:
             def wrong(omega, temperature):
-                return weights(omega, temperature)[::-1]
+                return weights(omega, temperature)[::-1]  # f+ and f- swapped
 
         monkeypatch.setattr("hawkent.model._weights", wrong)
         code = main(["figure", "2"])

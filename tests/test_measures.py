@@ -682,10 +682,12 @@ class TestFactorRoute:
         from hawkent.measures import _factor_measures
         from hawkent.model import _pair_factors
 
-        factors = _pair_factors(amplitudes).reshape(-1, 4, 2)
+        factors = _pair_factors(amplitudes)
         got = _factor_measures(factors)
-        want = measure_stack(factors @ factors.conj().swapaxes(-1, -2))
-        return np.abs(got - want).max(axis=0)
+        flat = factors.reshape(-1, 4, 2)
+        want = measure_stack(flat @ flat.conj().swapaxes(-1, -2))
+        assert got.shape == (len(factors), 3, 4)
+        return np.abs(got.reshape(-1, 4) - want).max(axis=0)
 
     def test_haar_random_complex_pure_states(self):
         rng = np.random.default_rng(20261018)
@@ -719,8 +721,7 @@ class TestFactorRoute:
         ghz[0, 0, 0] = ghz[1, 1, 1] = 1.0 / np.sqrt(2.0)
         psi = np.einsum("nia,njb,nkc,abc->nijk", ua, ub, uc, ghz).reshape(-1, 8)
         assert self._gaps(psi)[0] <= FACTOR_ROUTE_BOUNDS[0]
-        factors = _pair_factors(psi).reshape(-1, 4, 2)
-        assert _factor_measures(factors)[:, 0].max() <= FACTOR_ROUTE_BOUNDS[0]
+        assert _factor_measures(_pair_factors(psi))[..., 0].max() <= FACTOR_ROUTE_BOUNDS[0]
 
     def test_pair_factors_reproduce_the_pair_states(self):
         from hawkent.model import _pair_factors, pair_states

@@ -167,6 +167,37 @@ class TestThermalFactors:
         with pytest.raises(ValueError):
             thermal_factors(omega, temperature)
 
+    def test_column_weights_match_the_scalar_formula_bit_for_bit(self):
+        # 10000 seeded points at w/T log-uniform in [1e-6, 800], then T = 0,
+        # T = 5e-324, T = max float, and w/T that overflows or underflows
+        rng = np.random.default_rng(29)
+        omega = np.exp(rng.uniform(-30.0, 30.0, 10000))
+        temperature = omega / np.exp(rng.uniform(math.log(1e-6), math.log(800.0), 10000))
+        big = sys.float_info.max
+        extremes = [
+            (1.0, 0.0), (big, 0.0), (1e-300, 5e-324), (1.0, 5e-324), (1.0, big),
+            (big, big), (5e-324, big), (big, 1e-300), (big, 1.0),
+        ]
+        omega = np.concatenate((omega, [w for w, _ in extremes]))
+        temperature = np.concatenate((temperature, [t for _, t in extremes]))
+        # the division by T = 0 and the overflowing w/T must not reach the caller
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(divide="raise", over="raise"):
+                got = hawkent.model._weights(omega, temperature)
+        want = [_ref_weights(w, t) for w, t in zip(omega.tolist(), temperature.tolist())]
+        assert got.shape == (2, len(omega))
+        assert np.array_equal(_bits(got.T), _bits(want))
+        assert got[:, -9:-7].tolist() == [[1.0, 1.0], [0.0, 0.0]]
+
+    def test_thermal_factors_is_one_row_of_the_column_helper(self):
+        omega, temperature = np.array([0.3, 1.0, 2.0]), np.array([1.0, 0.0, 1e-3])
+        columns = hawkent.model._weights(omega, temperature)
+        for k in range(3):
+            f = thermal_factors(omega[k], temperature[k])
+            assert (f.f_minus, f.f_plus) == tuple(columns[:, k].tolist())
+            assert type(f.f_minus) is float and type(f.f_plus) is float
+
 
 class TestTripartiteState:
     def test_spot_amplitudes(self):
@@ -418,11 +449,12 @@ class TestClosedTable:
         assert np.array_equal(_bits(amplitudes[k]), _bits(alone_amplitudes[0]))
 
     def test_verified_sweep_takes_the_weights_once_per_point(self, monkeypatch):
+        # one call of the column helper covers every point of the sweep
         calls = []
         weights = hawkent.model._weights
 
         def counted(omega, temperature):
-            calls.append(temperature)
+            calls.append(len(temperature))
             return weights(omega, temperature)
 
         monkeypatch.setattr("hawkent.model._weights", counted)
@@ -431,7 +463,7 @@ class TestClosedTable:
         )
         rows = run_sweep(RunConfig(sweep=spec, verify=True))
         assert len(rows) == 40
-        assert len(calls) == 40
+        assert calls == [40]
 
     def test_binary_entropy_is_one_cell_of_the_kernel(self):
         # the scalar function, the table's kernel and the scalar loop it

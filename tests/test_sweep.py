@@ -816,9 +816,9 @@ class TestVerification:
         measure = hawkent.sweep._factor_measures
 
         def nan_at_last_point(factors):
-            # rows run point by point, pair by pair; CSV entry k is pair k % 3, measure k // 3
+            # spectral values are (point, pair, measure); CSV entry k is pair k % 3, measure k // 3
             spectral = measure(factors)
-            spectral[len(spectral) - 3 + k % 3, k // 3] = math.nan
+            spectral[-1, k % 3, k // 3] = math.nan
             return spectral
 
         monkeypatch.setattr("hawkent.sweep._factor_measures", nan_at_last_point)
@@ -858,7 +858,12 @@ class TestVerification:
 
 
 def _mutate_weights(monkeypatch, mutation):
-    """Replace ``hawkent.model._weights``, and nothing else, by a wrong variant."""
+    """Replace ``hawkent.model._weights``, and nothing else, by a wrong variant.
+
+    Like the helper, each variant takes the ``(N,)`` columns of omega
+    and T and gives the ``(2, N)`` rows ``f-`` and ``f+``: of every
+    ``w/T`` doubled, or with the two rows swapped.
+    """
     weights = hawkent.model._weights
     mutated = {
         "doubled_ratio": lambda omega, temperature: weights(2.0 * omega, temperature),
