@@ -58,7 +58,11 @@ those of the same states handed to :func:`measure_stack`.  Real input
 stays real, so the real pair states of the model reach the real
 LAPACK routines, and ``H`` is real for every input.  A
 :class:`DensityMatrix` is gated when built; single-state measures read
-its gate's eigensystem.
+its gate's eigensystem.  Each spectrum takes the positivity gate once:
+the joint spectra in the density gate, the marginal spectra of a stack
+in :func:`_stack_measures`, and a sweep's Gram spectra, which are its
+joint and its marginal spectra alike, in the density gate alone; the
+kernel :func:`_measures` gates nothing.
 
 Every LAPACK call goes straight to numpy's ``eigh`` and ``eigvalsh``
 gufuncs, under the error settings of numpy's own wrapper, so the
@@ -356,21 +360,17 @@ def _measures(
     docstring), ``transposed_lowest`` the lowest eigenvalue of its
     partial transpose, ``joint`` its ascending nonzero spectrum (zeros
     may be left out: they add nothing to the entropy) and ``marginals``
-    the ``(K, 2, 2)`` spectra of :func:`_marginal_spectra`, which take
-    the positivity gate of :func:`validate_density` here.  Each state's
-    probabilities (both marginal spectra, the EoF pair ``p, 1 - p`` and
-    the joint spectrum) form one row of a block that takes one
-    ``x log2 x`` pass; entropies are ``0.0 - sum``, so a zero entropy is
-    ``+0.0``, and so is a zero concurrence.
+    the ``(K, 2, 2)`` spectra of both one-qubit marginals; its callers
+    gate every spectrum, it gates none.  Each state's probabilities
+    (both marginal spectra, the EoF pair ``p, 1 - p`` and the joint
+    spectrum) form one row of a block that takes one ``x log2 x`` pass;
+    entropies are ``0.0 - sum``, so a zero entropy is ``+0.0``, and so
+    is a zero concurrence.
     """
     k, r = joint.shape
     out = np.empty((k, 4))
     p = np.empty((k, 6 + r))
     p[:, :4] = marginals.reshape(k, 4)
-    lowest = p[:, 0:4:2]
-    bad = lowest < -PSD_ATOL
-    if bad.any():
-        raise _not_psd(lowest[bad][0])
     # roots ascend; adding 0.0 folds a -0.0 concurrence into +0.0
     c = np.maximum(0.0, roots[:, -1] - roots[:, :-1].sum(axis=-1), out=out[:, 0])
     c += 0.0
@@ -392,11 +392,19 @@ def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.nd
     The concurrence roots are the four largest eigenvalues of the 8x8
     embeddings of the factors ``V sqrt(e)`` after the rank cut; the
     embeddings and the partial transposes take one ``eigvalsh`` each.
+    The closed-form marginal spectra take the positivity gate of
+    :func:`validate_density` here, before either call: no other gate has
+    seen them.
     """
+    marginals = _marginal_spectra(m)
+    lowest = marginals[:, :, 0]
+    bad = lowest < -PSD_ATOL
+    if bad.any():
+        raise _not_psd(lowest[bad][0])
     embedding = _spin_flip_embedding(_eigen_factor(evals, vecs))
     roots = _eigvalsh(embedding)[:, 4:]
     transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
-    return _measures(roots, transposed[:, 0], evals, _marginal_spectra(m))
+    return _measures(roots, transposed[:, 0], evals, marginals)
 
 
 # Flat ``row * 2 + col`` entries of a 4x2 factor ``L`` whose products give the
@@ -471,6 +479,7 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     Hermiticity and trace gates of :func:`validate_density`.
     Positivity holds by construction: the rest of the spectrum is
     exactly zero, so the lowest eigenvalue is ``min(0, gram_low)``.
+    That one gate covers the marginal spectra too: they are Gram spectra.
     """
     n = len(factors)
     flat = factors.reshape(-1, 4, 2)
@@ -541,10 +550,12 @@ def measure_stack(states) -> np.ndarray:
     """The four measures of each state in a ``(K, 4, 4)`` stack.
 
     Returns a ``(K, 4)`` array with the columns of :class:`MeasureSet`.
-    Every state must pass the gates of :func:`validate_density`, and
-    its marginal spectra the same positivity gate; the first state that
-    fails raises the ``ValueError`` that ``validate_density`` gives.  A
-    non-finite entry anywhere in the stack raises before any state is
+    Every state must pass the gates of :func:`validate_density`; the
+    first state that fails raises the ``ValueError`` that
+    ``validate_density`` gives.  The closed-form marginal spectra of the
+    stack then take the same positivity gate, and the first below it
+    raises the same message (:func:`measure_set` takes this gate too).
+    A non-finite entry anywhere in the stack raises before any state is
     gated.
 
     One ``eigh`` per state feeds the positivity gate, the joint entropy

@@ -133,6 +133,7 @@ class TestParserValidation:
             ["limits", "--alpha", "nan"],
             ["sweep", "--vary", "temperature", "--min", "0.01", "--max", "nan", "--steps", "5",
              "--alpha", "0.5", "--omega", "1"],
+            ["limits", "--alpha", "1.5"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
@@ -223,7 +224,7 @@ class TestSweepCommand:
             (["sweep", "--vary", "alpha", "--min", "0.1", "--max", "0.9", "--steps", "5",
               "--omega", "1", "--mass", "1"],
              dict(vary="alpha", min=0.1, max=0.9, steps=5, scale="linear",
-                  alpha=None, omega=1.0, temperature=hawking_temperature(1.0), verify=True, mass=1.0)),
+                  alpha=None, omega=1.0, temperature=1.0 / (8.0 * math.pi), verify=True, mass=1.0)),
         ],
         ids=["basic", "all_options", "mass"],
     )

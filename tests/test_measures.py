@@ -723,6 +723,23 @@ class TestFactorRoute:
         assert self._gaps(psi)[0] <= FACTOR_ROUTE_BOUNDS[0]
         assert _factor_measures(_pair_factors(psi))[..., 0].max() <= FACTOR_ROUTE_BOUNDS[0]
 
+    def test_gram_low_below_gate_raises(self, monkeypatch):
+        # each Gram spectrum is a joint spectrum and two marginal spectra at
+        # once, and the density gate is the one place that sees it
+        from hawkent.measures import _factor_measures, _two_level_spectra
+        from hawkent.model import _amplitudes, _pair_factors
+
+        def one_low(entries):
+            spectra = _two_level_spectra(entries)
+            spectra[4, 0] = -1e-9  # point 1, pair A_II
+            return spectra
+
+        factors = _pair_factors(_amplitudes(*np.array([[0.5, 1.0, 1.0], [0.6, 1.0, 0.5]]).T))
+        monkeypatch.setattr(hawkent.measures, "_two_level_spectra", one_low)
+        with pytest.raises(ValueError) as got:
+            _factor_measures(factors)
+        assert str(got.value) == "matrix is not positive semidefinite: eigenvalue -1.000e-09"
+
     def test_pair_factors_reproduce_the_pair_states(self):
         from hawkent.model import _pair_factors, pair_states
 

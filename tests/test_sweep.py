@@ -745,7 +745,7 @@ def _survey_points():
 
 class TestVerification:
     def test_the_routes_agree_far_inside_the_gate(self, monkeypatch):
-        # the largest gaps were 5.6e-16 (C), 1.5e-15 (EoF), 1.3e-14 (MI) and
+        # the largest gaps are 5.6e-16 (C), 5.1e-15 (EoF), 1.3e-14 (MI) and
         # 3.3e-16 (min PT), so the check passes at a tenth of the gate
         bound = 1e-13
         points = _survey_points()
