@@ -17,9 +17,9 @@ the eigenvalues of ``rho @ rho_tilde``,
 With any factor ``rho = L L^dagger`` the roots ``sqrt(l_i)`` are the
 singular values ``s_i`` of the complex symmetric matrix
 ``M = L^T (sy x sy) L`` (Wootters, PRL 80, 2245 (1998); Uhlmann, PRA 62,
-032307 (2000)).  They are read off the real symmetric embedding
-``H = [[Re M, Im M], [Im M, -Re M]]``: if ``M conj(u) = s u`` with
-``u = x + iy``, then ``H [x; y] = s [x; y]`` and
+032307 (2000)).  The stack route reads them off the real symmetric
+embedding ``H = [[Re M, Im M], [Im M, -Re M]]``: if ``M conj(u) = s u``
+with ``u = x + iy``, then ``H [x; y] = s [x; y]`` and
 ``H [-y; x] = -s [-y; x]``, so the eigenvalues of ``H`` are exactly
 ``+-s_i`` and the roots are its ``r`` largest.  They are never squared
 and rooted again: an absolute rounding error ``d`` in an eigenvalue
@@ -34,7 +34,7 @@ zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
 Two routes reach the spectra of a stack of states, and one kernel
-takes the four measures from them: the concurrence roots, the lowest
+takes the four measures from them: the concurrence, the lowest
 eigenvalue of each partial transpose, each joint spectrum and both
 marginal spectra.  The marginal spectra are closed forms of the 2x2
 entries, and the partial transpose is a fixed gather of 16 entries.
@@ -51,10 +51,11 @@ reads its two marginal spectra off the other two pairs' Gram spectra,
 and a point takes three two-level spectra, not nine.  It forms the
 Gram entries and ``M`` as gathered sums of four products over the
 whole stack, where a batched matmul would make one BLAS call per 4x2
-matrix.  Its ``H`` is 4x4 like the partial transposes, and one gather
-lays both out, so it makes one LAPACK call.  Its states ``L L^dagger``
-stay a batched matmul, so that its partial transposes are bit for bit
-those of the same states handed to :func:`measure_stack`.  Real input
+matrix.  Its ``M`` is 2x2, so ``C = s1 - s2`` is a closed form
+(:func:`_spin_flip_gap`), and its one LAPACK call solves only the
+partial transposes.  Its states ``L L^dagger`` stay a batched matmul
+and take :func:`measure_stack`'s gather, so their partial transposes
+are bit for bit those of the same states handed to it.  Real input
 stays real, so the real pair states of the model reach the real
 LAPACK routines, and ``H`` is real for every input.  A
 :class:`DensityMatrix` is gated when built; single-state measures read
@@ -69,7 +70,7 @@ gufuncs, under the error settings of numpy's own wrapper, so the
 values are numpy's bit for bit and a solve that does not converge
 still raises ``LinAlgError``.  The wrapper cost 1.4-2 us per call on a
 2-vCPU x86-64 host (numpy 2.4), against 4-6 us for the call itself on
-one 4x4 or 8x8 matrix.  The call counts are unchanged: three per
+one 4x4 or 8x8 matrix.  The call counts are three per
 :func:`measure_stack` and one per verified sweep.
 """
 
@@ -351,12 +352,12 @@ def _spin_flip_embedding(factor: np.ndarray) -> np.ndarray:
 
 
 def _measures(
-    roots: np.ndarray, transposed_lowest: np.ndarray, joint: np.ndarray, marginals: np.ndarray
+    gap: np.ndarray, transposed_lowest: np.ndarray, joint: np.ndarray, marginals: np.ndarray
 ) -> np.ndarray:
     """The ``(K, 4)`` measures of gated two-qubit states, from their spectra.
 
-    ``roots`` holds the ``r`` concurrence roots of each state, ascending
-    (the ``r`` largest eigenvalues of its embedding ``H``, see the module
+    ``gap`` holds each state's concurrence before it is clipped at 0,
+    ``s1 - s2 - ... - s_r`` of its concurrence roots (see the module
     docstring), ``transposed_lowest`` the lowest eigenvalue of its
     partial transpose, ``joint`` its ascending nonzero spectrum (zeros
     may be left out: they add nothing to the entropy) and ``marginals``
@@ -371,8 +372,8 @@ def _measures(
     out = np.empty((k, 4))
     p = np.empty((k, 6 + r))
     p[:, :4] = marginals.reshape(k, 4)
-    # roots ascend; adding 0.0 folds a -0.0 concurrence into +0.0
-    c = np.maximum(0.0, roots[:, -1] - roots[:, :-1].sum(axis=-1), out=out[:, 0])
+    # adding 0.0 folds a -0.0 concurrence into +0.0
+    c = np.maximum(0.0, gap, out=out[:, 0])
     c += 0.0
     p[:, 4] = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
     p[:, 5] = 1.0 - p[:, 4]
@@ -401,10 +402,9 @@ def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.nd
     bad = lowest < -PSD_ATOL
     if bad.any():
         raise _not_psd(lowest[bad][0])
-    embedding = _spin_flip_embedding(_eigen_factor(evals, vecs))
-    roots = _eigvalsh(embedding)[:, 4:]
+    roots = _eigvalsh(_spin_flip_embedding(_eigen_factor(evals, vecs)))[:, 4:]
     transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
-    return _measures(roots, transposed[:, 0], evals, marginals)
+    return _measures(roots[:, -1] - roots[:, :-1].sum(axis=-1), transposed[:, 0], evals, marginals)
 
 
 # Flat ``row * 2 + col`` entries of a 4x2 factor ``L`` whose products give the
@@ -421,12 +421,6 @@ _PRODUCT_LEFT = np.array(
 )
 _PRODUCT_RIGHT = np.array([_COLUMN_0, _COLUMN_0 + 1, _COLUMN_0 + 1] * 2)
 
-# Entries of ``[m, Re M, Im M, -Re M]`` (16 + 3 + 3 + 3 per state, ``M`` as
-# ``(M00, M11, M01)``) that lay out one state's eigensolver input: the
-# embedding ``[[Re M, Im M], [Im M, -Re M]]``, then the partial transpose of ``m``.
-_RE_M, _IM_M, _NEG_RE_M = (16 + 3 * part + np.array([[0, 2], [2, 1]]) for part in range(3))
-_EIGVALSH_ENTRIES = np.array([np.block([[_RE_M, _IM_M], [_IM_M, _NEG_RE_M]]), _PT_ENTRIES])
-
 
 def _factor_products(factors: np.ndarray) -> np.ndarray:
     """The ``(K, 6)`` Gram and spin-flip entries of a ``(K, 4, 2)`` factor stack.
@@ -440,14 +434,23 @@ def _factor_products(factors: np.ndarray) -> np.ndarray:
     return (left[:, _PRODUCT_LEFT] * flat[:, _PRODUCT_RIGHT]).sum(axis=-1)
 
 
-def _eigensolver_input(m: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """The ``(K, 2, 4, 4)`` embeddings and partial transposes of ``(K, 4, 4)`` states.
+def _spin_flip_gap(flip: np.ndarray) -> np.ndarray:
+    """``s1 - s2`` of the singular values of each 2x2 complex symmetric ``M``.
 
-    ``flip`` holds ``(M00, M11, M01)`` of each state's 4x2 factor; one
-    gather lays out both matrices of each state (see ``_EIGVALSH_ENTRIES``).
+    ``flip`` holds ``(M00, M11, M01) = (p, r, q)`` in its ``(K, 3)`` rows.
+    The gap is ``(s1^2 - s2^2) / (s1 + s2)``, which does not cancel: the
+    numerator is the eigenvalue gap of ``M^dagger M``,
+    ``2 hypot((|p|^2 - |r|^2) / 2, |conj(p) q + conj(q) r|)``, and
+    ``(s1 + s2)^2 = |p|^2 + 2 |q|^2 + |r|^2 + 2 |pr - q^2|``.  ``M`` is
+    scaled by its largest ``|entry|`` first, so no square underflows or
+    overflows; ``M = 0`` gives ``0.0``.
     """
-    entries = np.concatenate((m.reshape(-1, 16), flip.real, flip.imag, -flip.real), axis=1)
-    return entries[:, _EIGVALSH_ENTRIES]
+    scale = np.abs(flip).max(axis=1)
+    p, r, q = (flip / np.where(scale > 0.0, scale, 1.0)[:, None]).T
+    pp, rr, qq = (p * p.conj()).real, (r * r.conj()).real, (q * q.conj()).real
+    gap = np.hypot(pp - rr, 2.0 * np.abs(p.conj() * q + q.conj() * r))
+    total = np.sqrt(pp + rr + 2.0 * (qq + np.abs(p * r - q * q)))
+    return scale * np.divide(gap, total, out=np.zeros(len(flip)), where=total > 0.0)
 
 
 # Each pair's two kept qubits, in ``ModePair`` order, as the pairs that trace
@@ -470,13 +473,13 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     its one-qubit spectra, and each pair's two marginal spectra are read
     off the other two pairs' (``_MARGINAL_PAIRS``).  The
     Gram entries and ``M = L^T (sy x sy) L`` are gathered sums of four
-    products (:func:`_factor_products`), and one gather lays out each
-    4x4 embedding ``H`` beside its partial transpose, so the whole
-    stack makes one LAPACK call, an ``eigvalsh`` of ``6N`` 4x4 matrices.
-    ``L L^dagger`` stays a batched matmul: the partial transposes are
-    then those of the states :func:`measure_stack` is handed, bit for
-    bit, and so are the min PT eigenvalues.  The built states pass the
-    Hermiticity and trace gates of :func:`validate_density`.
+    products (:func:`_factor_products`).  ``M`` is 2x2, so each C is the
+    closed form :func:`_spin_flip_gap`, and the one LAPACK call is an
+    ``eigvalsh`` of the ``3N`` partial transposes.  ``L L^dagger`` stays
+    a batched matmul and takes :func:`measure_stack`'s gather, so the
+    partial transposes and min PT eigenvalues are bit for bit those of
+    the states it is handed.  The built states pass the Hermiticity and
+    trace gates of :func:`validate_density`.
     Positivity holds by construction: the rest of the spectrum is
     exactly zero, so the lowest eigenvalue is ``min(0, gram_low)``.
     That one gate covers the marginal spectra too: they are Gram spectra.
@@ -488,21 +491,18 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     joint = _two_level_spectra(products[:, :3])
     marginals = joint.reshape(n, 3, 2).take(_MARGINAL_PAIRS, axis=1).reshape(-1, 2, 2)
     _check_density(m, np.minimum(joint[:, 0], 0.0))
-    eigenvalues = _eigvalsh(_eigensolver_input(m, products[:, 3:]))
-    return _measures(eigenvalues[:, 0, 2:], eigenvalues[:, 1, 0], joint, marginals).reshape(n, 3, 4)
+    transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])[:, 0]
+    return _measures(_spin_flip_gap(products[:, 3:]), transposed, joint, marginals).reshape(n, 3, 4)
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit state, in [0, 1].
 
-    The roots ``sqrt(l_i)`` are the singular values of
-    ``M = L^T (sy x sy) L`` for the factor ``L = V diag(sqrt(e))`` of
-    ``rho = V diag(e) V^dagger``, read off as the four largest
-    eigenvalues of the real symmetric 8x8 ``[[Re M, Im M], [Im M, -Re M]]``,
-    whose spectrum is exactly ``+-sqrt(l_i)``.  Eigenvalues ``e`` below
-    ``16 eps max(e)``, negative dust included, count as exact zeros:
-    each enters the roots as ``sqrt(e)``, so rounding dust of ``eps``
-    would shift C by about ``sqrt(eps)``.
+    The roots ``sqrt(l_i)`` are the four largest eigenvalues of the 8x8
+    embedding of ``M`` for the factor ``L = V diag(sqrt(e))`` of ``rho``
+    (see the module docstring).  Eigenvalues ``e`` below ``16 eps max(e)``,
+    negative dust included, count as exact zeros: rounding dust of
+    ``eps`` would shift C by about ``sqrt(eps)``.
     """
     return measure_set(rho).concurrence
 
@@ -563,12 +563,12 @@ def measure_stack(states) -> np.ndarray:
     concurrence embeddings and of the 4x4 partial transposes are one
     ``eigvalsh`` each on the whole stack, three LAPACK calls in all, and
     the marginal spectra are closed forms with no LAPACK call.  (A
-    verified sweep skips the ``eigh``: it reads a 4x2 factor off the
-    amplitudes of its pure state, so its embeddings are 4x4 and share
-    one ``eigvalsh`` with the partial transposes.)  A real stack is
-    computed in ``float64`` throughout.  A complex stack takes its
-    ``eigh`` and partial transposes in ``complex128``; the embeddings
-    are real for every input.
+    verified sweep reads a 4x2 factor off the amplitudes of its pure
+    state, so it needs no ``eigh``, its 2x2 ``M`` gives C in closed form,
+    and its one ``eigvalsh`` solves the partial transposes.)  A real
+    stack is computed in ``float64`` throughout.  A complex stack takes
+    its ``eigh`` and partial transposes in ``complex128``; the
+    embeddings are real for every input.
     """
     m = np.asarray(states)
     if m.ndim != 3 or m.shape[1:] != (4, 4):

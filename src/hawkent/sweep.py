@@ -14,15 +14,15 @@ amplitudes from the table's ``(alpha, omega, T)`` columns alone, on its
 own path to the thermal weights, and reshaped they give each pair's 4x2
 factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
 :mod:`hawkent.measures` measures all ``3N`` pair states from those
-factors at once, in one LAPACK call and with no eigensolver on the
-4x4 states, each pair's marginal spectra read off the other two pairs'
-Gram spectra, and compares them with the table's ``(N, 3, 4)`` view of
-the closed forms.  The run aborts on the first disagreement beyond
-``VERIFY_ATOL`` (1e-12, absolute) in grid order (a NaN on either side
-is a disagreement), so emitted numbers are never untested: neither the
-closed-form algebra nor the thermal weights it starts from.  The
-spectral route never reads a closed-form value or weight, and the
-emitted values are the closed forms either way.
+factors at once, in one LAPACK call on the partial transposes alone
+(each C is a closed form of its 2x2 spin-flip matrix, and the marginal
+spectra are the other pairs' Gram spectra), and compares them with the
+table's ``(N, 3, 4)`` view of the closed forms.  The run aborts on the
+first disagreement beyond ``VERIFY_ATOL`` (1e-12, absolute) in grid
+order (a NaN on either side is a disagreement), so emitted numbers are
+never untested: neither the closed-form algebra nor the thermal
+weights it starts from.  The spectral route never reads a closed-form
+value or weight, and the emitted values are the closed forms either way.
 
 Each emitter flattens and renders its rows once, through
 :func:`_render_rows`: it checks every row's width, then one ``%`` call

@@ -710,7 +710,8 @@ class TestFactorRoute:
     def test_ghz_orbit_has_unentangled_pairs(self):
         # local unitaries keep every pair of GHZ at C = 0 with both concurrence
         # roots equal, where sqrt(|M|_F^2 - 2 |det M|) would lose sqrt(eps):
-        # that form reads up to 1.8e-8 here, measure_stack 1.6e-15
+        # that form reads up to 1.8e-8 here, measure_stack 1.7e-15 and the factor
+        # route's (s1^2 - s2^2) / (s1 + s2) 9.3e-16, 1.58e-15 from measure_stack
         from hawkent.measures import _factor_measures
         from hawkent.model import _pair_factors
 
@@ -722,6 +723,28 @@ class TestFactorRoute:
         psi = np.einsum("nia,njb,nkc,abc->nijk", ua, ub, uc, ghz).reshape(-1, 8)
         assert self._gaps(psi)[0] <= FACTOR_ROUTE_BOUNDS[0]
         assert _factor_measures(_pair_factors(psi))[..., 0].max() <= FACTOR_ROUTE_BOUNDS[0]
+
+    def test_concurrence_is_relatively_accurate_on_model_states(self):
+        # alpha down to 1e-150 and w/T up to 1400 take C far below 1e-154, where
+        # unscaled squares of M's entries underflow.  The widest relative gap on
+        # a normal cell was 3.3 eps here and 4.0 eps on 156000 cells of a larger
+        # sample: both routes round their own weights and products, I_II's the most
+        from hawkent.measures import _factor_measures
+        from hawkent.model import _amplitudes, _closed_table, _pair_factors
+
+        rng = np.random.default_rng(1400)
+        n = 20000
+        alpha = np.exp(rng.uniform(math.log(1e-150), 0.0, n))
+        ratio = np.concatenate(
+            [rng.uniform(1.0, 1400.0, n // 2), np.exp(rng.uniform(math.log(1e-3), math.log(1400.0), n // 2))]
+        )
+        table = _closed_table(np.stack([alpha, np.ones(n), 1.0 / ratio], axis=1))
+        closed = table[:, 3:6]
+        got = _factor_measures(_pair_factors(_amplitudes(*table[:, :3].T)))[..., 0]
+        normal = closed >= np.finfo(float).tiny
+        assert normal.sum() > 50000 and closed[normal].min() < 1e-300
+        gap = np.abs(got - closed)[normal] / closed[normal]
+        assert gap.max() <= 8 * np.finfo(float).eps
 
     def test_gram_low_below_gate_raises(self, monkeypatch):
         # each Gram spectrum is a joint spectrum and two marginal spectra at
@@ -787,7 +810,8 @@ class TestSpinFlipEmbedding:
 
 
 class TestFactorProducts:
-    """The factor route's gathered products match matmuls of the same factors."""
+    """The factor route's gathered products match matmuls of the same factors,
+    and the closed form of its 2x2 concurrence matches numpy's ``svd``."""
 
     KINDS = ("full", "rank 1", "zero column")
 
@@ -820,22 +844,59 @@ class TestFactorProducts:
         want = gram.reshape(-1, 4)[:, [0, 3, 1]]
         assert np.all(np.abs(got - want) <= bound[:, 0])
 
+    @staticmethod
+    def _svd_gap(flip):
+        """``s1 - s2`` by ``np.linalg.svd`` of the 2x2 ``M`` of each ``(M00, M11, M01)`` row."""
+        p, r, q = flip.T
+        singular = np.linalg.svd(np.stack([p, q, q, r], axis=-1).reshape(-1, 2, 2), compute_uv=False)
+        return singular[:, 0] - singular[:, 1], singular[:, 0]
+
     @FACTORS
     @ENTRIES
-    def test_eigensolver_input_matches_the_embedding_and_the_transpose(self, complex_entries, kind):
-        from hawkent.measures import (
-            _PT_ENTRIES,
-            _eigensolver_input,
-            _factor_products,
-            _spin_flip_embedding,
-        )
+    def test_spin_flip_gap_matches_the_singular_values(self, complex_entries, kind):
+        from hawkent.measures import _factor_products, _spin_flip_gap
 
-        factor, bound = self._factors(complex_entries, kind)
-        m = factor @ factor.conj().swapaxes(-1, -2)
-        stack = _eigensolver_input(m, _factor_products(factor)[:, 3:])
-        assert stack.shape == (4000, 2, 4, 4)
-        assert np.all(np.abs(stack[:, 0] - _spin_flip_embedding(factor)) <= bound)
-        assert np.array_equal(stack[:, 1], m.reshape(-1, 16)[:, _PT_ENTRIES])
+        factor, _ = self._factors(complex_entries, kind)
+        flip = _factor_products(factor)[:, 3:]
+        want, largest = self._svd_gap(flip)
+        # 3.6 eps of s1 was the widest gap measured here
+        assert np.all(np.abs(_spin_flip_gap(flip) - want) <= 8 * np.finfo(float).eps * largest)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+    def test_spin_flip_gap_of_zero_is_zero(self, dtype):
+        from hawkent.measures import _spin_flip_gap
+
+        got = _spin_flip_gap(np.zeros((3, 3), dtype))
+        assert got.dtype == np.float64
+        assert got.tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_spin_flip_gap_scales_out_of_the_square_range(self, scale):
+        # every |entry|^2 under- or overflows here; the closed form scales first
+        from hawkent.measures import _spin_flip_gap
+
+        rng = np.random.default_rng(300)
+        flip = scale * (rng.normal(size=(2000, 3)) + 1.0j * rng.normal(size=(2000, 3)))
+        want, largest = self._svd_gap(flip)
+        got = _spin_flip_gap(flip)
+        # 3.4 eps of s1 was the widest gap measured here
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * largest)
+
+    def test_spin_flip_gap_of_equal_singular_values(self):
+        # M = s U^T U has both singular values s: the gap is rounding alone
+        from hawkent.measures import _spin_flip_gap
+
+        rng = np.random.default_rng(42)
+        gaussian = rng.normal(size=(4000, 2, 2)) + 1.0j * rng.normal(size=(4000, 2, 2))
+        unitary = np.linalg.qr(gaussian)[0]
+        s = np.exp(rng.uniform(-20.0, 20.0, size=4000))
+        m = s[:, None, None] * (unitary.swapaxes(-1, -2) @ unitary)
+        flip = m.reshape(-1, 4)[:, [0, 3, 1]]
+        want, _ = self._svd_gap(flip)
+        # 3.4 eps of s was the widest gap measured here
+        assert np.all(np.abs(_spin_flip_gap(flip) - want) <= 8 * np.finfo(float).eps * s)
 
 
 class TestMarginalSpectra:

@@ -837,7 +837,7 @@ class TestVerification:
 
         def counted(name, real):
             def call(a, *args, **kwargs):
-                calls.setdefault(name, []).append(np.asarray(a).dtype)
+                calls.setdefault(name, []).append((np.asarray(a).dtype, np.shape(a)))
                 return real(a, *args, **kwargs)
 
             return call
@@ -851,10 +851,11 @@ class TestVerification:
         spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=40, scale="log",
                          alpha=0.6, omega=1.0)
         run_sweep(_config(spec))
-        # the 4x4 concurrence embeddings and partial transposes in one stack;
-        # no eigh, since each pair's factor is read off the amplitudes, and
-        # no call of numpy's public eigh, eigvalsh or svd
-        assert calls == {"eigvalsh": [np.dtype(np.float64)]}
+        # the 3 x 40 partial transposes in one stack: each pair's concurrence is
+        # a closed form of its 2x2 spin-flip matrix, no eigh runs, since each
+        # pair's factor is read off the amplitudes, and no call of numpy's
+        # public eigh, eigvalsh or svd
+        assert calls == {"eigvalsh": [(np.dtype(np.float64), (120, 4, 4))]}
 
 
 def _mutate_weights(monkeypatch, mutation):
