@@ -33,44 +33,30 @@ eigenvalues of ``rho`` below ``16 eps`` times its largest are set to
 zero before ``L`` is formed.  The result is accurate to O(eps), not
 O(sqrt(eps)).
 
-Two routes reach the spectra of a stack of states, and one kernel
-takes the four measures from them: the concurrence, the lowest
-eigenvalue of each partial transpose, each joint spectrum and both
-marginal spectra.  The marginal spectra are closed forms of the 2x2
-entries, and the partial transpose is a fixed gather of 16 entries.
-Both marginal spectra, the joint spectrum and the EoF pair go through
-one ``x log2 x`` pass.  :func:`measure_stack` takes one ``eigh`` of
-the stack and embeds ``M`` of ``L = V sqrt(e)``, so ``H`` is 8x8 and
-the stack costs three LAPACK calls: ``eigh`` and two ``eigvalsh``.  A
-verified sweep starts from the three 4x2 factors that the amplitudes of
-each pure three-mode state already are, and takes each pair's joint
-spectrum in closed form from the 2x2 Gram matrix ``L^dagger L``.  That
-Gram matrix is the state of the traced-out qubit, so the three Gram
-spectra of a point are also its three one-qubit spectra: each pair
-reads its two marginal spectra off the other two pairs' Gram spectra,
-and a point takes three two-level spectra, not nine.  It forms the
-Gram entries and ``M`` as gathered sums of four products over the
-whole stack, where a batched matmul would make one BLAS call per 4x2
-matrix.  Its ``M`` is 2x2, so ``C = s1 - s2`` is a closed form
-(:func:`_spin_flip_gap`), and its one LAPACK call solves only the
-partial transposes.  Its states ``L L^dagger`` stay a batched matmul
-and take :func:`measure_stack`'s gather, so their partial transposes
-are bit for bit those of the same states handed to it.  Real input
-stays real, so the real pair states of the model reach the real
-LAPACK routines, and ``H`` is real for every input.  A
-:class:`DensityMatrix` is gated when built; single-state measures read
-its gate's eigensystem.  Each spectrum takes the positivity gate once:
-the joint spectra in the density gate, the marginal spectra of a stack
-in :func:`_stack_measures`, and a sweep's Gram spectra, which are its
-joint and its marginal spectra alike, in the density gate alone; the
-kernel :func:`_measures` gates nothing.
+Two routes reach the spectra of a stack of states, and one kernel,
+:func:`_measures`, takes the four measures from them and the states:
+it solves the partial transposes, a fixed gather of 16 entries of each
+state, for both routes, and puts both marginal spectra, the joint
+spectrum and the EoF pair through one ``x log2 x`` pass.
+:func:`measure_stack` takes one ``eigh`` of the stack, the marginal
+spectra in closed form from the 2x2 entries, and the embedding ``H`` of
+``M`` for ``L = V sqrt(e)``, which is 8x8, so the stack costs three
+LAPACK calls: ``eigh`` and two ``eigvalsh``.  A verified sweep measures
+the pair states of pure three-qubit states from their amplitudes, with
+no ``eigh`` and one ``eigvalsh``; :func:`_factor_measures` describes
+that route.  Real input stays real, so the real pair states of the
+model reach the real LAPACK routines, and ``H`` is real for every
+input.  A :class:`DensityMatrix` is gated when built; single-state
+measures read its gate's eigensystem.  Each spectrum takes the
+positivity gate once: the joint spectra in the density gate, the
+marginal spectra of a stack in :func:`_stack_measures`, and the factor
+route's Gram spectra, which are its joint and its marginal spectra
+alike, in the density gate alone; the kernel gates nothing.
 
 Every LAPACK call goes straight to numpy's ``eigh`` and ``eigvalsh``
 gufuncs, under the error settings of numpy's own wrapper, so the
 values are numpy's bit for bit and a solve that does not converge
-still raises ``LinAlgError``.  The wrapper cost 1.4-2 us per call on a
-2-vCPU x86-64 host (numpy 2.4), against 4-6 us for the call itself on
-one 4x4 or 8x8 matrix.  The call counts are three per
+still raises ``LinAlgError``.  The call counts are three per
 :func:`measure_stack` and one per verified sweep.
 """
 
@@ -351,18 +337,16 @@ def _spin_flip_embedding(factor: np.ndarray) -> np.ndarray:
     return embedding
 
 
-def _measures(
-    gap: np.ndarray, transposed_lowest: np.ndarray, joint: np.ndarray, marginals: np.ndarray
-) -> np.ndarray:
-    """The ``(K, 4)`` measures of gated two-qubit states, from their spectra.
+def _measures(gap: np.ndarray, m: np.ndarray, joint: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+    """The ``(K, 4)`` measures of gated ``(K, 4, 4)`` two-qubit states ``m``, from their spectra.
 
     ``gap`` holds each state's concurrence before it is clipped at 0,
     ``s1 - s2 - ... - s_r`` of its concurrence roots (see the module
-    docstring), ``transposed_lowest`` the lowest eigenvalue of its
-    partial transpose, ``joint`` its ascending nonzero spectrum (zeros
-    may be left out: they add nothing to the entropy) and ``marginals``
-    the ``(K, 2, 2)`` spectra of both one-qubit marginals; its callers
-    gate every spectrum, it gates none.  Each state's probabilities
+    docstring), ``joint`` its ascending nonzero spectrum (zeros may be
+    left out: they add nothing to the entropy) and ``marginals`` the
+    ``(K, 2, 2)`` spectra of both one-qubit marginals; its callers gate
+    every spectrum, it gates none.  The partial transposes of ``m``, on
+    the first qubit, take one ``eigvalsh``.  Each state's probabilities
     (both marginal spectra, the EoF pair ``p, 1 - p`` and the joint
     spectrum) form one row of a block that takes one ``x log2 x`` pass;
     entropies are ``0.0 - sum``, so a zero entropy is ``+0.0``, and so
@@ -383,7 +367,7 @@ def _measures(
     pairs = h[:, 0:6:2] + h[:, 1:6:2]
     np.subtract(0.0, pairs[:, 2], out=out[:, 1])
     np.subtract(h[:, 6:].sum(axis=1), pairs[:, 0] + pairs[:, 1], out=out[:, 2])
-    out[:, 3] = transposed_lowest
+    out[:, 3] = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])[:, 0]
     return out
 
 
@@ -392,7 +376,7 @@ def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.nd
 
     The concurrence roots are the four largest eigenvalues of the 8x8
     embeddings of the factors ``V sqrt(e)`` after the rank cut; the
-    embeddings and the partial transposes take one ``eigvalsh`` each.
+    embeddings take one ``eigvalsh``, and the kernel another.
     The closed-form marginal spectra take the positivity gate of
     :func:`validate_density` here, before either call: no other gate has
     seen them.
@@ -403,8 +387,7 @@ def _stack_measures(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.nd
     if bad.any():
         raise _not_psd(lowest[bad][0])
     roots = _eigvalsh(_spin_flip_embedding(_eigen_factor(evals, vecs)))[:, 4:]
-    transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])
-    return _measures(roots[:, -1] - roots[:, :-1].sum(axis=-1), transposed[:, 0], evals, marginals)
+    return _measures(roots[:, -1] - roots[:, :-1].sum(axis=-1), m, evals, marginals)
 
 
 # Flat ``row * 2 + col`` entries of a 4x2 factor ``L`` whose products give the
@@ -453,37 +436,50 @@ def _spin_flip_gap(flip: np.ndarray) -> np.ndarray:
     return scale * np.divide(gap, total, out=np.zeros(len(flip)), where=total > 0.0)
 
 
+# Basis index ``4 q1 + 2 q2 + q3`` of each entry of the 4x2 factors of the
+# pairs of a pure three-qubit state, pairs (q1 q2), (q1 q3), (q2 q3) as in
+# ``ModePair``: the amplitudes with the kept pair indexing the rows and the
+# traced-out qubit the columns.
+_FACTOR_ENTRIES = np.array([
+    [[0, 1], [2, 3], [4, 5], [6, 7]],
+    [[0, 2], [1, 3], [4, 6], [5, 7]],
+    [[0, 4], [1, 5], [2, 6], [3, 7]],
+])
+
 # Each pair's two kept qubits, in ``ModePair`` order, as the pairs that trace
 # them out: the Gram matrix of the A_I, A_II and I_II factors is the state of
 # II, I and A, so the marginals of A_I are those of I_II and A_II, and so on.
 _MARGINAL_PAIRS = np.array([[2, 1], [2, 0], [1, 0]])
 
 
-def _factor_measures(factors: np.ndarray) -> np.ndarray:
+def _factor_measures(amplitudes) -> np.ndarray:
     """The ``(N, 3, 4)`` measures of the pair states of N pure three-qubit states.
 
-    ``factors`` holds their ``(N, 3, 4, 2)`` factors ``L`` in ``ModePair``
-    order, as ``model._pair_factors`` returns them: the amplitudes with
-    the kept pair indexing the rows and the traced-out qubit the columns,
-    so ``L L^dagger`` is that pair's reduced state.  By the Schmidt
+    ``amplitudes`` holds the states' ``(N, 8)`` amplitudes in the
+    ``4 q1 + 2 q2 + q3`` basis, and the pairs come in ``ModePair``
+    order.  ``_FACTOR_ENTRIES`` gathers each pair's 4x2 factor ``L``,
+    so ``L L^dagger`` is the pair's reduced state.  By the Schmidt
     decomposition its nonzero spectrum is that of the 2x2 Gram matrix
     ``L^dagger L``, which is the state of the traced-out qubit, up to a
     transpose (Coffman, Kundu and Wootters, PRA 61, 052306 (2000)).  So
     the three Gram spectra of a point, taken in closed form, are also
-    its one-qubit spectra, and each pair's two marginal spectra are read
-    off the other two pairs' (``_MARGINAL_PAIRS``).  The
-    Gram entries and ``M = L^T (sy x sy) L`` are gathered sums of four
-    products (:func:`_factor_products`).  ``M`` is 2x2, so each C is the
-    closed form :func:`_spin_flip_gap`, and the one LAPACK call is an
-    ``eigvalsh`` of the ``3N`` partial transposes.  ``L L^dagger`` stays
-    a batched matmul and takes :func:`measure_stack`'s gather, so the
-    partial transposes and min PT eigenvalues are bit for bit those of
-    the states it is handed.  The built states pass the Hermiticity and
-    trace gates of :func:`validate_density`.
-    Positivity holds by construction: the rest of the spectrum is
-    exactly zero, so the lowest eigenvalue is ``min(0, gram_low)``.
-    That one gate covers the marginal spectra too: they are Gram spectra.
+    its one-qubit spectra, and each pair reads its two marginal spectra
+    off the other two pairs' (``_MARGINAL_PAIRS``): a point takes three
+    two-level spectra, not nine, and no ``eigh``.  The Gram entries and
+    ``M = L^T (sy x sy) L`` are gathered sums of four products over the
+    whole stack (:func:`_factor_products`), where a batched matmul
+    would make one BLAS call per 4x2 matrix.  ``M`` is 2x2, so each C is
+    the closed form :func:`_spin_flip_gap`, and the one LAPACK call is
+    the kernel's ``eigvalsh`` of the ``3N`` partial transposes.  The
+    states ``L L^dagger`` stay a batched matmul, so their partial
+    transposes are bit for bit those of the same states handed to
+    :func:`measure_stack`.  The states pass the Hermiticity and trace
+    gates of :func:`validate_density`.  Positivity holds by
+    construction: the rest of the spectrum is exactly zero, so the
+    lowest eigenvalue is ``min(0, gram_low)``.  That one gate covers the
+    marginal spectra too: they are Gram spectra.
     """
+    factors = np.asarray(amplitudes).reshape(-1, 8)[:, _FACTOR_ENTRIES]
     n = len(factors)
     flat = factors.reshape(-1, 4, 2)
     m = flat @ flat.conj().swapaxes(-1, -2)
@@ -491,8 +487,7 @@ def _factor_measures(factors: np.ndarray) -> np.ndarray:
     joint = _two_level_spectra(products[:, :3])
     marginals = joint.reshape(n, 3, 2).take(_MARGINAL_PAIRS, axis=1).reshape(-1, 2, 2)
     _check_density(m, np.minimum(joint[:, 0], 0.0))
-    transposed = _eigvalsh(m.reshape(-1, 16)[:, _PT_ENTRIES])[:, 0]
-    return _measures(_spin_flip_gap(products[:, 3:]), transposed, joint, marginals).reshape(n, 3, 4)
+    return _measures(_spin_flip_gap(products[:, 3:]), m, joint, marginals).reshape(n, 3, 4)
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -563,10 +558,8 @@ def measure_stack(states) -> np.ndarray:
     concurrence embeddings and of the 4x4 partial transposes are one
     ``eigvalsh`` each on the whole stack, three LAPACK calls in all, and
     the marginal spectra are closed forms with no LAPACK call.  (A
-    verified sweep reads a 4x2 factor off the amplitudes of its pure
-    state, so it needs no ``eigh``, its 2x2 ``M`` gives C in closed form,
-    and its one ``eigvalsh`` solves the partial transposes.)  A real
-    stack is computed in ``float64`` throughout.  A complex stack takes
+    verified sweep takes pure states' pair states by
+    :func:`_factor_measures`, in one LAPACK call.)  A real stack is computed in ``float64`` throughout.  A complex stack takes
     its ``eigh`` and partial transposes in ``complex128``; the
     embeddings are real for every input.
     """

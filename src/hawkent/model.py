@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import DensityMatrix, _binary_entropies, validate_density
+from .measures import DensityMatrix, _FACTOR_ENTRIES, _binary_entropies, validate_density
 
 __all__ = [
     "check_params",
@@ -233,31 +233,15 @@ def tripartite_state(params: ModelParams) -> np.ndarray:
     return _amplitudes(*np.array([[params.alpha], [params.omega], [params.temperature]]))[0]
 
 
-# Basis index ``4m + 2n + p`` of each entry of the A_I, A_II and I_II factors:
-# the amplitudes psi[A, I, II] with the kept pair indexing the rows and the
-# traced-out mode the columns.
-_FACTOR_ENTRIES = np.array([
-    [[0, 1], [2, 3], [4, 5], [6, 7]],
-    [[0, 2], [1, 3], [4, 6], [5, 7]],
-    [[0, 4], [1, 5], [2, 6], [3, 7]],
-])
-
-
-def _pair_factors(amplitudes) -> np.ndarray:
-    """``(N, 3, 4, 2)`` factors ``L`` with ``rho_pair = L L^dagger``, pairs in ``ModePair`` order.
-
-    ``amplitudes`` has shape ``(N, 8)`` in the ``4m + 2n + p`` basis.
-    """
-    return np.asarray(amplitudes).reshape(-1, 8)[:, _FACTOR_ENTRIES]
-
-
 def pair_states(amplitudes, pair: ModePair) -> np.ndarray:
     """Two-mode states of a stack of amplitude vectors, one per vector.
 
     ``amplitudes`` has shape ``(N, 8)`` in the ``4m + 2n + p`` basis;
-    the result has shape ``(N, 4, 4)`` and is not validated.
+    the result has shape ``(N, 4, 4)`` and is not validated.  Each is
+    ``L L^dagger`` for the pair's 4x2 factor ``L``, gathered as
+    :func:`~hawkent.measures._factor_measures` gathers it.
     """
-    factor = _pair_factors(amplitudes)[:, list(ModePair).index(pair)]
+    factor = np.asarray(amplitudes).reshape(-1, 8)[:, _FACTOR_ENTRIES[list(ModePair).index(pair)]]
     return factor @ factor.conj().swapaxes(-1, -2)
 
 

@@ -11,13 +11,10 @@ cells have the bits of :func:`~hawkent.model.closed_forms` at each
 point, whatever the grid around it.  In verify mode the model's one
 state builder, :func:`~hawkent.model._amplitudes`, builds every point's
 amplitudes from the table's ``(alpha, omega, T)`` columns alone, on its
-own path to the thermal weights, and reshaped they give each pair's 4x2
-factor ``L`` with ``rho_pair = L L^dagger``.  The spectral kernel of
-:mod:`hawkent.measures` measures all ``3N`` pair states from those
-factors at once, in one LAPACK call on the partial transposes alone
-(each C is a closed form of its 2x2 spin-flip matrix, and the marginal
-spectra are the other pairs' Gram spectra), and compares them with the
-table's ``(N, 3, 4)`` view of the closed forms.  The run aborts on the
+own path to the thermal weights;
+:func:`~hawkent.measures._factor_measures` measures all ``3N`` pair
+states from them at once, in one LAPACK call, and the result is
+compared with the table's ``(N, 3, 4)`` view of the closed forms.  The run aborts on the
 first disagreement beyond ``VERIFY_ATOL`` (1e-12, absolute) in grid
 order (a NaN on either side is a disagreement), so emitted numbers are
 never untested: neither the closed-form algebra nor the thermal
@@ -61,7 +58,7 @@ from typing import IO
 import numpy as np
 
 from .measures import _factor_measures
-from .model import ModePair, _amplitudes, _closed_table, _pair_factors, check_params, hawking_temperature
+from .model import ModePair, _amplitudes, _closed_table, check_params, hawking_temperature
 
 __all__ = [
     "CSV_COLUMNS",
@@ -260,7 +257,7 @@ def _verify(table: np.ndarray) -> None:
     than ``VERIFY_ATOL``.
     """
     n = len(table)
-    spectral = _factor_measures(_pair_factors(_amplitudes(*table[:, :3].T)))
+    spectral = _factor_measures(_amplitudes(*table[:, :3].T))
     # CSV columns after the parameters run measure by measure, pair by pair
     closed = table[:, 3:].reshape(n, 4, len(_PAIRS)).transpose(0, 2, 1)
     # NaN on either side fails: it is never within the tolerance

@@ -675,18 +675,17 @@ FACTOR_ROUTE_BOUNDS = np.array([4e-15, 6e-15, 5e-14, 0.0])
 
 
 class TestFactorRoute:
-    """The kernel fed a pure state's 4x2 factor agrees with the generic route."""
+    """The factor route fed a pure state's amplitudes agrees with the generic route."""
 
     @staticmethod
     def _gaps(amplitudes):
-        from hawkent.measures import _factor_measures
-        from hawkent.model import _pair_factors
+        from hawkent.measures import _FACTOR_ENTRIES, _factor_measures
 
-        factors = _pair_factors(amplitudes)
-        got = _factor_measures(factors)
-        flat = factors.reshape(-1, 4, 2)
+        got = _factor_measures(amplitudes)
+        # the states the factor route builds, bit for bit
+        flat = amplitudes[:, _FACTOR_ENTRIES].reshape(-1, 4, 2)
         want = measure_stack(flat @ flat.conj().swapaxes(-1, -2))
-        assert got.shape == (len(factors), 3, 4)
+        assert got.shape == (len(amplitudes), 3, 4)
         return np.abs(got.reshape(-1, 4) - want).max(axis=0)
 
     def test_haar_random_complex_pure_states(self):
@@ -713,7 +712,6 @@ class TestFactorRoute:
         # that form reads up to 1.8e-8 here, measure_stack 1.7e-15 and the factor
         # route's (s1^2 - s2^2) / (s1 + s2) 9.3e-16, 1.58e-15 from measure_stack
         from hawkent.measures import _factor_measures
-        from hawkent.model import _pair_factors
 
         rng = np.random.default_rng(31)
         gaussian = rng.normal(size=(3, 500, 2, 2)) + 1.0j * rng.normal(size=(3, 500, 2, 2))
@@ -722,7 +720,7 @@ class TestFactorRoute:
         ghz[0, 0, 0] = ghz[1, 1, 1] = 1.0 / np.sqrt(2.0)
         psi = np.einsum("nia,njb,nkc,abc->nijk", ua, ub, uc, ghz).reshape(-1, 8)
         assert self._gaps(psi)[0] <= FACTOR_ROUTE_BOUNDS[0]
-        assert _factor_measures(_pair_factors(psi))[..., 0].max() <= FACTOR_ROUTE_BOUNDS[0]
+        assert _factor_measures(psi)[..., 0].max() <= FACTOR_ROUTE_BOUNDS[0]
 
     def test_concurrence_is_relatively_accurate_on_model_states(self):
         # alpha down to 1e-150 and w/T up to 1400 take C far below 1e-154, where
@@ -730,7 +728,7 @@ class TestFactorRoute:
         # a normal cell was 3.3 eps here and 4.0 eps on 156000 cells of a larger
         # sample: both routes round their own weights and products, I_II's the most
         from hawkent.measures import _factor_measures
-        from hawkent.model import _amplitudes, _closed_table, _pair_factors
+        from hawkent.model import _amplitudes, _closed_table
 
         rng = np.random.default_rng(1400)
         n = 20000
@@ -740,7 +738,7 @@ class TestFactorRoute:
         )
         table = _closed_table(np.stack([alpha, np.ones(n), 1.0 / ratio], axis=1))
         closed = table[:, 3:6]
-        got = _factor_measures(_pair_factors(_amplitudes(*table[:, :3].T)))[..., 0]
+        got = _factor_measures(_amplitudes(*table[:, :3].T))[..., 0]
         normal = closed >= np.finfo(float).tiny
         assert normal.sum() > 50000 and closed[normal].min() < 1e-300
         gap = np.abs(got - closed)[normal] / closed[normal]
@@ -750,21 +748,22 @@ class TestFactorRoute:
         # each Gram spectrum is a joint spectrum and two marginal spectra at
         # once, and the density gate is the one place that sees it
         from hawkent.measures import _factor_measures, _two_level_spectra
-        from hawkent.model import _amplitudes, _pair_factors
+        from hawkent.model import _amplitudes
 
         def one_low(entries):
             spectra = _two_level_spectra(entries)
             spectra[4, 0] = -1e-9  # point 1, pair A_II
             return spectra
 
-        factors = _pair_factors(_amplitudes(*np.array([[0.5, 1.0, 1.0], [0.6, 1.0, 0.5]]).T))
+        amplitudes = _amplitudes(*np.array([[0.5, 1.0, 1.0], [0.6, 1.0, 0.5]]).T)
         monkeypatch.setattr(hawkent.measures, "_two_level_spectra", one_low)
         with pytest.raises(ValueError) as got:
-            _factor_measures(factors)
+            _factor_measures(amplitudes)
         assert str(got.value) == "matrix is not positive semidefinite: eigenvalue -1.000e-09"
 
     def test_pair_factors_reproduce_the_pair_states(self):
-        from hawkent.model import _pair_factors, pair_states
+        from hawkent.measures import _FACTOR_ENTRIES
+        from hawkent.model import pair_states
 
         rng = np.random.default_rng(7)
         psi = rng.normal(size=(5, 8)) + 1.0j * rng.normal(size=(5, 8))
@@ -775,7 +774,7 @@ class TestFactorRoute:
             ModePair.A_II: np.einsum("nabc,nxbz->nacxz", t, t.conj()),
             ModePair.I_II: np.einsum("nabc,nayz->nbcyz", t, t.conj()),
         }
-        factors = _pair_factors(psi)
+        factors = psi[:, _FACTOR_ENTRIES]
         for k, pair in enumerate(ModePair):
             want = traced[pair].reshape(-1, 4, 4)
             assert np.abs(pair_states(psi, pair) - want).max() <= 1e-15
