@@ -35,6 +35,7 @@ from .sweep import (
     SweepSpec,
     VerificationError,
     _csv_text,
+    _verify_limits,
     emit_csv,
     emit_json,
     evaluate_point,
@@ -208,8 +209,13 @@ def figure_command(
 
 
 def limits_command(alpha: float) -> str:
-    """Two-column report of the T = 0 and T -> infinity values."""
+    """Two-column report of the T = 0 and T -> infinity values.
+
+    Both columns are checked against the spectral route first, and a gap
+    above ``VERIFY_ATOL`` raises :class:`~hawkent.sweep.VerificationError`.
+    """
     report = asymptotic_limits(alpha)
+    _verify_limits(report)
     names = ("C_A_I", "C_A_II", "C_I_II", "MI_A_I", "MI_A_II", "MI_I_II")
     lines = [
         f"alpha = {format_number(report.alpha)}",

@@ -147,7 +147,9 @@ class LimitReport:
     """Closed-form values at T = 0 and T -> infinity.
 
     ``accessible_mi_ratio`` is I(A,I) at infinite temperature divided
-    by its T = 0 value; it equals exactly 1/2 for every alpha.
+    by its T = 0 value, ``H2(a^2) / (2 H2(a^2))``: exactly 1/2 in
+    floating point wherever ``alpha^2`` is nonzero.  Where ``alpha^2``
+    underflows to 0 both values are 0.0, and the ratio is NaN.
     """
 
     alpha: float
@@ -370,16 +372,16 @@ def asymptotic_limits(alpha: float) -> LimitReport:
     formulas: the A_I values drop to ``C = alpha sqrt(2 (1 - alpha^2))``
     and ``I = H2(alpha^2)``, exactly half the T = 0 mutual information,
     while A_II mirrors A_I and the I_II pair reaches ``C = alpha^2`` and
-    ``I = 2 H2(alpha^2 / 2) - H2(alpha^2)``.
+    ``I = 2 H2(alpha^2 / 2) - H2(alpha^2)``.  The ratio of the two A_I
+    mutual informations is taken from them (see :class:`LimitReport`).
     """
     alpha = check_params(alpha=alpha)[0]
     row = _closed_table([(alpha, 1.0, 0.0)])[0].tolist()
     a2 = alpha * alpha
     h_a2, h_half = _binary_entropies(np.array([[a2, a2 / 2.0]], float))[0].tolist()
     c_hot = alpha * math.sqrt(2.0 * (1.0 - a2))
-    return LimitReport(
-        alpha=alpha,
-        zero_temperature=LimitValues(*row[3:6], *row[9:12]),
-        infinite_temperature=LimitValues(c_hot, c_hot, a2, h_a2, h_a2, 2.0 * h_half - h_a2),
-        accessible_mi_ratio=0.5,
-    )
+    zero = LimitValues(*row[3:6], *row[9:12])
+    hot = LimitValues(c_hot, c_hot, a2, h_a2, h_a2, 2.0 * h_half - h_a2)
+    # 0/0 where alpha^2 underflows: both mutual informations are then 0.0
+    ratio = hot.mi_a_i / zero.mi_a_i if zero.mi_a_i > 0.0 else math.nan
+    return LimitReport(alpha, zero, hot, ratio)

@@ -51,14 +51,14 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from typing import IO
 
 import numpy as np
 
 from .measures import _factor_measures
-from .model import ModePair, _amplitudes, _closed_table, check_params, hawking_temperature
+from .model import LimitReport, ModePair, _amplitudes, _closed_table, check_params, hawking_temperature
 
 __all__ = [
     "CSV_COLUMNS",
@@ -270,6 +270,27 @@ def _verify(table: np.ndarray) -> None:
             f"omega={omega:.12g}, temperature={temperature:.12g}: "
             f"{_PAIRS[p].value} {_MEASURES[j]}: {closed[k, p, j]:.15g} vs {spectral[k, p, j]:.15g}"
         )
+
+
+# a table row's C and MI cells, in the order of the fields of ``LimitValues``
+_LIMIT_CELLS = [3, 4, 5, 9, 10, 11]
+
+
+def _verify_limits(report: LimitReport) -> None:
+    """Check both columns of ``report`` through the spectral route, as :func:`_verify` checks a table.
+
+    The report's T = 0 and T -> infinity values take the place of the C
+    and MI cells of the table rows at ``(alpha, 1, 0)`` and
+    ``(alpha, 1, inf)``, and both rows go through :func:`_verify`, their
+    other cells with them.  T = inf is no model input, but both routes
+    take it: ``w/T`` is 0 there, so both thermal weights are
+    ``1/sqrt(2)``, those of the limit.  Raises
+    :class:`VerificationError` for the first cell, T = 0 first, whose
+    values differ by more than ``VERIFY_ATOL``.
+    """
+    table = _closed_table([(report.alpha, 1.0, 0.0), (report.alpha, 1.0, math.inf)])
+    table[:, _LIMIT_CELLS] = [astuple(report.zero_temperature), astuple(report.infinite_temperature)]
+    _verify(table)
 
 
 def _rows(points, verify: bool) -> list[SweepRow]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import errno
 import io
 import json
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+import hawkent.cli
 import hawkent.model
 from hawkent.cli import figure_command, limits_command, main
-from hawkent.model import ModePair, _closed_table, hawking_temperature
+from hawkent.model import LimitValues, ModePair, _closed_table, hawking_temperature
 from hawkent.sweep import CSV_COLUMNS, evaluate_point, format_number
 from test_sweep import _skew
 
@@ -411,6 +413,53 @@ class TestLimitsCommand:
     def test_cli_matches_library(self, capsys):
         main(["limits", "--alpha", "0.9"])
         assert capsys.readouterr().out == limits_command(0.9)
+
+    def test_ratio_where_alpha_squared_underflows_is_nan(self, capsys):
+        # both mutual informations it divides are 0.0 there
+        code = main(["limits", "--alpha", "1e-200"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.endswith("MI_A_I(T->inf) / MI_A_I(T=0) = nan\n")
+
+    @staticmethod
+    def _mutate(monkeypatch, column, change):
+        """Let the CLI's ``asymptotic_limits`` return ``change`` of one column of its report."""
+        limits = hawkent.cli.asymptotic_limits
+
+        def mutated(alpha):
+            report = limits(alpha)
+            return dataclasses.replace(report, **{column: change(getattr(report, column))})
+
+        monkeypatch.setattr("hawkent.cli.asymptotic_limits", mutated)
+
+    def test_hot_concurrence_off_by_1e_11_exits_3(self, capsys, monkeypatch):
+        # c_hot = alpha sqrt(2 (1 - alpha^2)) fills both the A_I and A_II cells
+        def scaled(hot):
+            c_hot = hot.c_a_i * (1.0 + 1e-11)
+            return dataclasses.replace(hot, c_a_i=c_hot, c_a_ii=c_hot)
+
+        self._mutate(monkeypatch, "infinite_temperature", scaled)
+        code = main(["limits", "--alpha", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "temperature=inf: A_I concurrence" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("column", ["zero_temperature", "infinite_temperature"])
+    @pytest.mark.parametrize("cell", [f.name for f in dataclasses.fields(LimitValues)])
+    def test_any_cell_off_by_1e_11_exits_3(self, capsys, monkeypatch, column, cell):
+        def shifted(values):
+            return dataclasses.replace(values, **{cell: getattr(values, cell) + 1e-11})
+
+        self._mutate(monkeypatch, column, shifted)
+        code = main(["limits", "--alpha", "0.5"])
+        captured = capsys.readouterr()
+        measure, pair = cell.split("_", 1)
+        temperature = "0" if column == "zero_temperature" else "inf"
+        name = "concurrence" if measure == "c" else "mutual information"
+        assert code == 3
+        assert f"temperature={temperature}: {pair.upper()} {name}:" in captured.err
+        assert captured.out == ""
 
 
 class _FullStdout:

@@ -602,11 +602,19 @@ class TestAsymptoticLimits:
         assert abs(hot.mi_a_ii - want["mi_hot"]) <= 1e-13
         assert abs(hot.mi_i_ii - want["mi_hot_i_ii"]) <= 1e-13
 
-    @pytest.mark.parametrize("alpha", [0.3, INV_SQRT2, 0.9])
+    # 1e-161 squares to a subnormal, the smallest alphas whose square is nonzero
+    @pytest.mark.parametrize("alpha", [0.3, INV_SQRT2, 0.9, 1e-161, 1.0 - 1e-16])
     def test_accessible_mi_ratio_is_exactly_half(self, alpha):
         report = asymptotic_limits(alpha)
         assert report.accessible_mi_ratio == 0.5
         assert abs(report.infinite_temperature.mi_a_i - 0.5 * report.zero_temperature.mi_a_i) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-300])
+    def test_accessible_mi_ratio_is_nan_where_alpha_squared_underflows(self, alpha):
+        # the ratio is taken from the two values it names, and 0/0 has no value
+        report = asymptotic_limits(alpha)
+        assert report.zero_temperature.mi_a_i == report.infinite_temperature.mi_a_i == 0.0
+        assert math.isnan(report.accessible_mi_ratio)
 
     def test_zero_limit_matches_closed_forms_at_zero(self):
         for alpha in (0.3, INV_SQRT2, 0.9):
