@@ -14,12 +14,13 @@ amplitudes from the table's ``(alpha, omega, T)`` columns alone, on its
 own path to the thermal weights;
 :func:`~hawkent.measures._factor_measures` measures all ``3N`` pair
 states from them at once, in one LAPACK call, and the result is
-compared with the table's ``(N, 3, 4)`` view of the closed forms.  The run aborts on the
-first disagreement beyond ``VERIFY_ATOL`` (1e-12, absolute) in grid
-order (a NaN on either side is a disagreement), so emitted numbers are
-never untested: neither the closed-form algebra nor the thermal
-weights it starts from.  The spectral route never reads a closed-form
-value or weight, and the emitted values are the closed forms either way.
+compared with the table's ``(N, 3, 4)`` view of the closed forms.  The
+run aborts on the first disagreement beyond ``VERIFY_ATOL`` (1e-12,
+absolute) in grid order (a NaN on either side is a disagreement), so
+emitted numbers are never untested: neither the closed-form algebra
+nor the thermal weights it starts from.  The spectral route never
+reads a closed-form value or weight, and the emitted values are the
+closed forms either way.
 
 Each emitter flattens and renders its rows once, through
 :func:`_render_rows`: it checks every row's width, then one ``%`` call
