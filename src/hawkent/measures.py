@@ -558,10 +558,11 @@ def measure_stack(states) -> np.ndarray:
     concurrence embeddings and of the 4x4 partial transposes are one
     ``eigvalsh`` each on the whole stack, three LAPACK calls in all, and
     the marginal spectra are closed forms with no LAPACK call.  (A
-    verified sweep takes pure states' pair states by
-    :func:`_factor_measures`, in one LAPACK call.)  A real stack is computed in ``float64`` throughout.  A complex stack takes
-    its ``eigh`` and partial transposes in ``complex128``; the
-    embeddings are real for every input.
+    verified sweep measures the pair states of pure states by
+    :func:`_factor_measures`, in one LAPACK call.)  A real stack is
+    computed in ``float64`` throughout.  A complex stack takes its
+    ``eigh`` and partial transposes in ``complex128``; the embeddings
+    are real for every input.
     """
     m = np.asarray(states)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
