@@ -11,9 +11,13 @@ a failure can show the cells that changed.
 
 ``tests/test_output_corpus.py`` replays the list and names every
 invocation whose record changed.  After a change that alters output on
-purpose, regenerate both files and list the changed invocations:
+purpose, regenerate both files:
 
     PYTHONPATH=src python tests/output_corpus.py
+
+Before it writes, the script prints the argv of every record that
+differs from the committed corpus, and whether ``figure_2.csv``
+changed: the list of changed invocations for the change's notes.
 """
 
 from __future__ import annotations
@@ -161,9 +165,22 @@ def replay(workdir) -> tuple[list[dict], str]:
     return records, figure.getvalue()
 
 
+def _report_changes(records: list[dict], figure: str) -> None:
+    """Print the argv of every record that differs from the committed one, and figure 2's state."""
+    committed = json.loads(CORPUS_PATH.read_text(encoding="utf-8")) if CORPUS_PATH.is_file() else []
+    old = {tuple(r["argv"]): r for r in committed}
+    changed = [r["argv"] for r in records if old.get(tuple(r["argv"])) != r]
+    print(f"{len(changed)} of {len(records)} records changed")
+    for argv in changed:
+        print("  " + " ".join(argv))
+    same = FIGURE_2_PATH.is_file() and FIGURE_2_PATH.read_text(encoding="utf-8") == figure
+    print(f"{FIGURE_2_PATH.name} {'unchanged' if same else 'changed'}")
+
+
 def regenerate() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         records, figure = replay(workdir)
+    _report_changes(records, figure)
     DATA.mkdir(exist_ok=True)
     CORPUS_PATH.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     FIGURE_2_PATH.write_text(figure, encoding="utf-8")
