@@ -298,14 +298,11 @@ def _closed_table(points) -> np.ndarray:
     table[:, 9] = s_a + s_i - s_ii
     table[:, 10] = s_a + s_ii - s_i
     table[:, 11] = s_i + s_ii - s_a
-    # (d, 4 c^2) of the A_I, A_II and I_II partial transposes, with d
-    # a^2 f+^2, a^2 f-^2 and 1 - a^2: p's last three columns, reversed, as p is not read again
+    # d of the A_I, A_II and I_II partial transposes, a^2 f+^2, a^2 f-^2 and
+    # 1 - a^2: p's last three columns, reversed, as p is not read again
     d = p[:, 5:2:-1]
     d[:, 2] = b2
-    cc4 = np.empty((n, 3))
-    cc4[:, :2] = (4.0 * a2 * b2 * f2).T
-    cc4[:, 2] = 4.0 * a2 * a2 * f2[0] * f2[1]
-    table[:, 12:] = 0.5 * (d - np.sqrt(d * d + cc4))
+    table[:, 12:] = np.divide(-0.5 * cc, d + np.sqrt(d * d + cc), out=np.zeros((n, 3)), where=cc > 0.0)
     return table
 
 
@@ -331,9 +328,11 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     ``S(rho_I) = H2(alpha^2 f-^2)``, ``S(rho_II) = H2(alpha^2 f+^2)``,
     and the pair entropy equals the entropy of the traced-out mode.
 
-    Min PT eigenvalue: each reduction couples one diagonal population
-    ``d`` to the coherence ``c`` moved off-axis by the transpose, giving
-    the block eigenvalue ``(d - sqrt(d^2 + 4 c^2)) / 2``.
+    Min PT eigenvalue: the transpose moves each reduction's coherence
+    ``C/2`` off-axis, into the block ``[[d, C/2], [C/2, 0]]`` with ``d``
+    ``alpha^2 f+^2``, ``alpha^2 f-^2``, ``1 - alpha^2`` (A_I, A_II, I_II).
+    Its lower eigenvalue is ``-C^2 / (2 (d + sqrt(d^2 + C^2)))``, without
+    the cancellation of ``(d - sqrt(d^2 + C^2)) / 2``; +0.0 where C is 0.
     """
     return tuple(_closed_table([check_params(alpha, omega, temperature)])[0, 3:].tolist())
 

@@ -5,16 +5,17 @@ same floats the CLI evaluates: the parameters as given, and every grid
 value from ``grid_values``, never from the printed cells.  Its
 formulas avoid every cancellation the float forms may have: the EoF
 takes its small probability ``C^2 / (2 (1 + sqrt(1 - C^2)))`` and
-``log1p``, and the mutual informations run at enough extra digits to
-resolve their O(f+^2) differences of entropies.
+``log1p``, the min PT eigenvalue ``-C^2 / (2 (d + sqrt(d^2 + C^2)))``,
+and the mutual informations run at enough extra digits to resolve
+their O(f+^2) differences of entropies.
 
 A float cell must lie within ``_rel_bound`` of the exact value: a few
 eps, plus the ``x / 2`` eps that rounding ``x = w / T`` once carries
-into ``f+ = exp(-x / 2) / ...`` and on into C (``x / 4``) and EoF
-(``x / 2``).  Its 12-digit text must be the exact value rounded to 12
-digits.  Only a cell named in ``NEAR_BOUNDARY`` (none is today) may
-print the other neighbour of a rounding boundary that lies within its
-bound of the exact value.  An exact value below the smallest normal
+into ``f+ = exp(-x / 2) / ...`` and on into C (``x / 4``), EoF and
+min PT (``x / 2``).  Its 12-digit text must be the exact value rounded
+to 12 digits.  Only a cell named in ``NEAR_BOUNDARY`` (none is today)
+may print the other neighbour of a rounding boundary that lies within
+its bound of the exact value.  An exact value below the smallest normal
 double has fewer than 53 bits there, or none: its cell must only lie
 below the smallest normal double too.
 """
@@ -43,6 +44,7 @@ NEAR_BOUNDARY = frozenset()
 C_COLUMNS = CSV_COLUMNS[3:6]
 EOF_COLUMNS = CSV_COLUMNS[6:9]
 MI_COLUMNS = CSV_COLUMNS[9:12]
+MIN_PT_COLUMNS = CSV_COLUMNS[12:15]
 FIGURE_DEFAULTS = {"alpha": 1.0 / math.sqrt(2.0), "omega": 1.0, "t_max": 10.0, "steps": 200}
 
 
@@ -73,6 +75,9 @@ def _exact(alpha, omega, temperature, columns):
         c = [pure * mpmath.sqrt(fm2), pure * mpmath.sqrt(fp2), 2 * a2 * mpmath.sqrt(fm2 * fp2)]
         values = dict(zip(C_COLUMNS, c))
         values.update(zip(EOF_COLUMNS, [_h2(x * x / (2 * (1 + mpmath.sqrt(1 - x * x)))) for x in c]))
+        # each partial transpose's block [[d, C/2], [C/2, 0]], d never 0 where C is
+        d = [a2 * fp2, a2 * fm2, 1 - a2]
+        values.update(zip(MIN_PT_COLUMNS, [-x * x / (2 * (y + mpmath.sqrt(y * y + x * x))) for x, y in zip(c, d)]))
     if set(columns) & set(MI_COLUMNS):
         # s_a and s_i agree to O(f+^2), so resolve f+^2 below the working digits
         extra = int(-mpmath.log10(fp2)) if fp2 else 0
@@ -89,6 +94,8 @@ def _exact(alpha, omega, temperature, columns):
 # defaults, and 57 eps plus x / 2 eps over the corpus, at alpha = 0.999, where 1 - alpha^2 cancels
 FIGURE_ULPS = 8.0
 CORPUS_ULPS = 64.0
+# min PT over the corpus's sweep and measure cells: 64.3 eps plus x / 2 eps, at alpha = 0.999
+MIN_PT_ULPS = 72.0
 
 
 def _rel_bound(ulps, omega, temperature):
@@ -164,13 +171,12 @@ def _figure_cells(which, columns, alpha, omega, t_max, steps):
     yield from _table_cells(label, points, printed, [c for c in columns if c in printed[0]])
 
 
-def _invocation_cells(argv):
-    """The check's cells of every C and EoF value that ``hawkent argv`` prints."""
+def _invocation_cells(argv, columns=C_COLUMNS + EOF_COLUMNS):
+    """The check's cells of every ``columns`` value that ``hawkent argv`` prints; ``limits`` prints C."""
     args = build_parser().parse_args(argv)
     label = " ".join(argv)
     if args.command == "figure":
-        yield from _figure_cells(args.which, C_COLUMNS + EOF_COLUMNS, args.alpha, args.omega,
-                                 args.t_max, args.steps)
+        yield from _figure_cells(args.which, columns, args.alpha, args.omega, args.t_max, args.steps)
         return
     if args.command == "limits":
         report = asymptotic_limits(args.alpha)
@@ -194,7 +200,7 @@ def _invocation_cells(argv):
         text = args.handler(args)
         # parse_float keeps each JSON number's text
         printed = json.loads(text, parse_float=str)["rows"] if args.format == "json" else _csv_rows(text)
-    yield from _table_cells(label, points, printed, C_COLUMNS + EOF_COLUMNS)
+    yield from _table_cells(label, points, printed, columns)
 
 
 def _prints_c_or_eof(argv):
@@ -236,4 +242,12 @@ def test_corpus_c_and_eof_cells_match_mpmath(argv):
     cells = list(_invocation_cells(argv))
     assert cells
     wrong = _wrong_cells(cells, CORPUS_ULPS)
+    assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)
+
+
+@pytest.mark.parametrize("argv", [case for case in CORPUS_CASES if case.values[0][0] in ("measure", "sweep")])
+def test_corpus_min_pt_cells_match_mpmath(argv):
+    cells = list(_invocation_cells(argv, MIN_PT_COLUMNS))
+    assert cells
+    wrong = _wrong_cells(cells, MIN_PT_ULPS)
     assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)

@@ -361,12 +361,8 @@ def _ref_row(alpha, omega, temperature):
     s_a = _ref_binary_entropy(a2)
     s_i = _ref_binary_entropy(a2 * fm2)
     s_ii = _ref_binary_entropy(a2 * fp2)
-    four_ab = 4.0 * a2 * b2
-    blocks = (
-        (a2 * fp2, four_ab * fm2),
-        (a2 * fm2, four_ab * fp2),
-        (b2, 4.0 * a2 * a2 * fm2 * fp2),
-    )
+    # each partial transpose's population d, and its block's squared coherence C^2
+    blocks = ((a2 * fp2, c[0] * c[0]), (a2 * fm2, c[1] * c[1]), (b2, c[2] * c[2]))
     return (
         alpha,
         omega,
@@ -376,7 +372,7 @@ def _ref_row(alpha, omega, temperature):
         s_a + s_i - s_ii,
         s_a + s_ii - s_i,
         s_i + s_ii - s_a,
-        *(0.5 * (d - math.sqrt(d * d + cc4)) for d, cc4 in blocks),
+        *(-0.5 * cc / (d + math.sqrt(d * d + cc)) if cc > 0.0 else 0.0 for d, cc in blocks),
     )
 
 
