@@ -226,7 +226,7 @@ def _amplitudes(alpha, omega, temperature) -> np.ndarray:
     amplitudes = np.zeros((len(alpha), 8))
     amplitudes[:, 0] = alpha * np.cos(angle)  # |000>
     amplitudes[:, 3] = alpha * np.sin(angle)  # |011>
-    amplitudes[:, 6] = np.sqrt(1.0 - alpha * alpha)  # |110>
+    amplitudes[:, 6] = np.sqrt((1.0 - alpha) * (1.0 + alpha))  # |110>
     return amplitudes
 
 
@@ -278,7 +278,7 @@ def _closed_table(points) -> np.ndarray:
     weights = _weights(omega, temperature)  # f-, f+
     f2 = weights * weights
     a2 = alpha * alpha
-    b2 = 1.0 - a2
+    b2 = (1.0 - alpha) * (1.0 + alpha)
     n = len(points)
     table = np.empty((n, 15))
     table[:, :3] = points
@@ -378,7 +378,7 @@ def asymptotic_limits(alpha: float) -> LimitReport:
     row = _closed_table([(alpha, 1.0, 0.0)])[0].tolist()
     a2 = alpha * alpha
     h_a2, h_half = _binary_entropies(np.array([[a2, a2 / 2.0]], float))[0].tolist()
-    c_hot = alpha * math.sqrt(2.0 * (1.0 - a2))
+    c_hot = alpha * math.sqrt(2.0 * ((1.0 - alpha) * (1.0 + alpha)))
     zero = LimitValues(*row[3:6], *row[9:12])
     hot = LimitValues(c_hot, c_hot, a2, h_a2, h_a2, 2.0 * h_half - h_a2)
     # 0/0 where alpha^2 underflows: both mutual informations are then 0.0

@@ -90,12 +90,10 @@ def _exact(alpha, omega, temperature, columns):
     return [values[name] for name in columns]
 
 
-# the largest errors measured were 3.3 eps plus x / 2 eps over figures 1 and 2 at their
-# defaults, and 57 eps plus x / 2 eps over the corpus, at alpha = 0.999, where 1 - alpha^2 cancels
+# the largest errors measured, beyond x / 2 eps, were 3.3 eps over figures 1 and 2 at
+# their defaults, and 3.3 eps on C and EoF and 2.7 eps on min PT over the corpus
 FIGURE_ULPS = 8.0
-CORPUS_ULPS = 64.0
-# min PT over the corpus's sweep and measure cells: 64.3 eps plus x / 2 eps, at alpha = 0.999
-MIN_PT_ULPS = 72.0
+CORPUS_ULPS = 8.0
 
 
 def _rel_bound(ulps, omega, temperature):
@@ -207,13 +205,8 @@ def _prints_c_or_eof(argv):
     return argv[0] in ("measure", "sweep", "limits") or argv[:2] in (["figure", "1"], ["figure", "2"])
 
 
-_ALPHA_NEAR_1 = pytest.mark.xfail(
-    strict=True,
-    reason="C as alpha -> 1: 1 - alpha^2 cancels; at alpha = 0.999999 22 C cells of figure 1 "
-    "and 3 of limits are off by up to 2.5e4 eps",
-)
 CORPUS_CASES = [
-    pytest.param(argv, id=" ".join(argv), marks=[_ALPHA_NEAR_1] if "0.999999" in argv else [])
+    pytest.param(argv, id=" ".join(argv))
     for argv, record in zip(INVOCATIONS, json.loads(CORPUS_PATH.read_text(encoding="utf-8")))
     if record["exit"] == 0 and _prints_c_or_eof(argv)
 ]
@@ -249,5 +242,5 @@ def test_corpus_c_and_eof_cells_match_mpmath(argv):
 def test_corpus_min_pt_cells_match_mpmath(argv):
     cells = list(_invocation_cells(argv, MIN_PT_COLUMNS))
     assert cells
-    wrong = _wrong_cells(cells, MIN_PT_ULPS)
+    wrong = _wrong_cells(cells, CORPUS_ULPS)
     assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)

@@ -351,11 +351,11 @@ def _ref_binary_entropy(p):
 
 def _ref_row(alpha, omega, temperature):
     f_minus, f_plus = _ref_weights(omega, temperature)
-    pure = 2.0 * alpha * math.sqrt(1.0 - alpha * alpha)
+    a2 = alpha * alpha
+    b2 = (1.0 - alpha) * (1.0 + alpha)
+    pure = 2.0 * alpha * math.sqrt(b2)
     c = (pure * f_minus, pure * f_plus, 2.0 * alpha * alpha * f_minus * f_plus)
     eof = [_ref_binary_entropy(x * x / (2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - x * x))))) for x in c]
-    a2 = alpha * alpha
-    b2 = 1.0 - a2
     fm2 = f_minus * f_minus
     fp2 = f_plus * f_plus
     s_a = _ref_binary_entropy(a2)
@@ -379,7 +379,7 @@ def _ref_row(alpha, omega, temperature):
 def _ref_amplitudes(alpha, omega, temperature):
     f_minus, f_plus = _ref_weights(omega, temperature)
     amp = [0.0] * 8
-    amp[0], amp[3], amp[6] = alpha * f_minus, alpha * f_plus, math.sqrt(1.0 - alpha**2)
+    amp[0], amp[3], amp[6] = alpha * f_minus, alpha * f_plus, math.sqrt((1.0 - alpha) * (1.0 + alpha))
     return amp
 
 
@@ -663,7 +663,8 @@ class TestAsymptoticLimits:
         ]
         assert np.array_equal(_bits(got), _bits(want))
         assert report.infinite_temperature.mi_a_ii == report.infinite_temperature.mi_a_i
-        assert _bits(report.zero_temperature.c_a_i) == _bits(2.0 * alpha * math.sqrt(1.0 - a2))
+        b2 = (1.0 - alpha) * (1.0 + alpha)
+        assert _bits(report.zero_temperature.c_a_i) == _bits(2.0 * alpha * math.sqrt(b2))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, math.nan])
     def test_rejects_bad_alpha(self, alpha):

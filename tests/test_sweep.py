@@ -926,7 +926,7 @@ class TestCheckBuildsItsOwnAmplitudes:
             evaluate_point(0.6, 1.0, 0.0)
         for point, row in zip(points, amplitudes):
             alpha = point[0]
-            assert row.tolist() == [alpha, 0.0, 0.0, 0.0, 0.0, 0.0, math.sqrt(1.0 - alpha * alpha), 0.0]
+            assert row.tolist() == [alpha, 0.0, 0.0, 0.0, 0.0, 0.0, math.sqrt((1.0 - alpha) * (1.0 + alpha)), 0.0]
             assert row.tolist() == tripartite_state(ModelParams(*point)).tolist()
 
     def test_temperature_whose_double_overflows_verifies(self):
