@@ -32,7 +32,7 @@ import pytest
 
 from hawkent.cli import build_parser, figure_command
 from hawkent.model import _closed_table, asymptotic_limits, hawking_temperature
-from hawkent.sweep import CSV_COLUMNS, SweepSpec, grid_values
+from hawkent.sweep import CSV_COLUMNS, RunConfig, SweepSpec, grid_values, run_sweep
 from output_corpus import CORPUS_PATH, INVOCATIONS
 
 DIGITS = 60
@@ -169,6 +169,13 @@ def _figure_cells(which, columns, alpha, omega, t_max, steps):
     yield from _table_cells(label, points, printed, [c for c in columns if c in printed[0]])
 
 
+def _sweep_spec(args):
+    """The grid of a parsed ``sweep`` invocation."""
+    temperature = args.temperature if args.mass is None else hawking_temperature(args.mass)
+    return SweepSpec(vary=args.vary, min=args.min, max=args.max, steps=args.steps, scale=args.scale,
+                     alpha=args.alpha, omega=args.omega, temperature=temperature)
+
+
 def _invocation_cells(argv, columns=C_COLUMNS + EOF_COLUMNS):
     """The check's cells of every ``columns`` value that ``hawkent argv`` prints; ``limits`` prints C."""
     args = build_parser().parse_args(argv)
@@ -186,15 +193,12 @@ def _invocation_cells(argv, columns=C_COLUMNS + EOF_COLUMNS):
                 text = line.split()[1 + (temperature != 0.0)]
                 yield f"{label} | T={temperature} | {name}", (args.alpha, 1.0, temperature), value, text, x
         return
-    temperature = args.temperature if args.mass is None else hawking_temperature(args.mass)
     if args.command == "measure":
+        temperature = args.temperature if args.mass is None else hawking_temperature(args.mass)
         points = [(args.alpha, args.omega, temperature)]
         printed = [dict(line.split(" = ") for line in args.handler(args).splitlines())]
     else:
-        spec = SweepSpec(vary=args.vary, min=args.min, max=args.max, steps=args.steps,
-                         scale=args.scale, alpha=args.alpha, omega=args.omega,
-                         temperature=temperature)
-        points = _grid_points(spec)
+        points = _grid_points(_sweep_spec(args))
         text = args.handler(args)
         # parse_float keeps each JSON number's text
         printed = json.loads(text, parse_float=str)["rows"] if args.format == "json" else _csv_rows(text)
@@ -244,3 +248,24 @@ def test_corpus_min_pt_cells_match_mpmath(argv):
     assert cells
     wrong = _wrong_cells(cells, CORPUS_ULPS)
     assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)
+
+
+# the default figure grid at three alphas, and the grid of every corpus sweep
+SIGN_SPECS = [
+    SweepSpec(vary="temperature", min=0.01, max=10.0, steps=200, scale="log", alpha=alpha, omega=1.0)
+    for alpha in (FIGURE_DEFAULTS["alpha"], 0.3, 0.9)
+] + [_sweep_spec(build_parser().parse_args(case.values[0])) for case in CORPUS_CASES
+     if case.values[0][0] == "sweep"]
+
+
+def test_min_pt_is_negative_exactly_where_c_is_nonzero():
+    # Peres: a two-qubit state is entangled iff its partial transpose has a negative
+    # eigenvalue, so each pair's C and min PT cells agree wherever C^2 is resolved
+    wrong = []
+    for spec in SIGN_SPECS:
+        for row in run_sweep(RunConfig(sweep=spec)):
+            for pair, c, min_pt in zip(("A_I", "A_II", "I_II"), row[3:6], row[12:15]):
+                if (c * c >= SMALLEST_NORMAL and not min_pt < 0.0
+                        or c == 0.0 and (min_pt, math.copysign(1.0, min_pt)) != (0.0, 1.0)):
+                    wrong.append(f"{spec} | {row[:3]} | {pair}: C {c!r}, min PT {min_pt!r}")
+    assert not wrong, f"{len(wrong)} cells disagree:\n" + "\n".join(wrong)
