@@ -219,11 +219,11 @@ def limits_command(alpha: float) -> str:
     names = ("C_A_I", "C_A_II", "C_I_II", "MI_A_I", "MI_A_II", "MI_I_II")
     lines = [
         f"alpha = {format_number(report.alpha)}",
-        f"{'measure':<10}{'T = 0':<18}T -> infinity",
+        f"{'measure':<10}{'T = 0':<17} T -> infinity",
     ]
     values = zip(names, astuple(report.zero_temperature), astuple(report.infinite_temperature))
     for name, cold, warm in values:
-        lines.append(f"{name:<10}{format_number(cold):<18}{format_number(warm)}")
+        lines.append(f"{name:<10}{format_number(cold):<17} {format_number(warm)}")
     lines.append(
         "accessible MI ratio: MI_A_I(T->inf) / MI_A_I(T=0) = "
         + format_number(report.accessible_mi_ratio)

@@ -421,6 +421,13 @@ class TestLimitsCommand:
         assert code == 0
         assert out.endswith("MI_A_I(T->inf) / MI_A_I(T=0) = nan\n")
 
+    def test_an_18_character_cell_keeps_its_separator(self, capsys):
+        # 2.00000000000e-200 fills the T = 0 column; the columns must not run together
+        assert main(["limits", "--alpha", "1e-200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "C_A_I     2.00000000000e-200 1.41421356237e-200"
+        assert all(len(line.split()) == 3 for line in lines[2:-1])
+
     @staticmethod
     def _mutate(monkeypatch, column, change):
         """Let the CLI's ``asymptotic_limits`` return ``change`` of one column of its report."""
