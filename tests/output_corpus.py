@@ -64,6 +64,8 @@ INVOCATIONS = [
     ["measure", "--alpha", "1e-06", "--omega", "1", "--temperature", "1e6"],
     # sweeps over each parameter, linear and log, CSV and JSON, verify on and off
     [*_SWEEP_T, "--min", "0.01", "--max", "10", "--steps", "40", "--scale", "log"],
+    # a middle grid point whose C_I_II cell np.geomspace's grid printed by the CPU's SIMD level
+    [*_SWEEP_T, "--min", "0.0026", "--max", "0.0228", "--steps", "3", "--scale", "log"],
     [*_SWEEP_T, "--min", "0", "--max", "5", "--steps", "21", "--verify", "off"],
     [*_SWEEP_T, "--min", "0.01", "--max", "10", "--steps", "25", "--scale", "log",
      "--format", "json"],
