@@ -200,6 +200,92 @@ class TestGridValues:
             )
             assert (np.diff(grid_values(spec)) > 0).all()
 
+    @staticmethod
+    def _log_spec(low, high, steps):
+        return SweepSpec(vary="omega", min=low, max=high, steps=steps, scale="log", alpha=0.5, temperature=1.0)
+
+    @staticmethod
+    def _scalar_log_grid(low, high, steps):
+        """The log grid point by point, each from its nearer end, as ``grid_values`` documents it."""
+        n = steps - 1
+        ratio = high / low
+        if ratio == math.inf:
+            start = math.log(low)
+            span = math.log(high) - start
+            return [low, *(math.exp(start + span * (k / n)) for k in range(1, n)), high]
+        return [low * ratio ** (k / n) if 2 * k <= n else high / ratio ** ((n - k) / n) for k in range(steps)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        low=st.floats(min_value=5e-324, max_value=1e300),
+        decades=st.floats(min_value=1e-12, max_value=616.0),
+        steps=st.integers(min_value=2, max_value=200),
+    )
+    def test_log_grid_is_the_scalar_formula_bit_for_bit(self, low, decades, steps):
+        half = 10.0 ** (decades / 2)  # each factor finite, so ranges past max/min's overflow are drawn
+        high = min(low * half * half, sys.float_info.max)
+        if not low < high:
+            return
+        grid = grid_values(self._log_spec(low, high, steps))
+        assert grid.dtype == np.float64
+        assert grid.tolist() == self._scalar_log_grid(low, high, steps)
+
+    def test_log_grid_is_within_its_documented_ulps_of_mpmath(self):
+        # the docstring's 4.5 ulp over grids of up to 6 decades, np.geomspace's 42 ulp failing it
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(34)
+        grids = [(0.01, 10.0, 40), (0.01, 10.0, 200)]
+        for _ in range(150):
+            low = 10.0 ** rng.uniform(-8, 4)
+            grids.append((low, low * 10.0 ** rng.uniform(0.01, 6), rng.randint(2, 60)))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for low, high, steps in grids:
+                ratio = mpmath.mpf(high) / low
+                for k, x in enumerate(grid_values(self._log_spec(low, high, steps)).tolist()):
+                    exact = low * ratio ** (mpmath.mpf(k) / (steps - 1))
+                    worst = max(worst, float(abs(x - exact)) / math.ulp(float(exact)))
+        assert worst <= 4.5
+
+    def test_full_float_range_log_grid_is_finite_without_warnings(self):
+        # max/min overflows on both ranges; np.geomspace warned of overflow in power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for low, high in ((5e-324, sys.float_info.max), (1e-300, 1e300)):
+                grid = grid_values(self._log_spec(low, high, 5))
+                assert np.isfinite(grid).all()
+                assert (np.diff(grid) > 0).all()
+                assert (grid[0], grid[-1]) == (low, high)
+
+    def test_full_float_range_log_sweep_writes_nothing_to_stderr(self, capsys):
+        from hawkent.cli import main
+
+        argv = ["sweep", "--vary", "omega", "--min", "5e-324", "--max", "1.7976931348623157e308",
+                "--steps", "5", "--scale", "log", "--alpha", "0.5", "--temperature", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()) == 6
+
+    def test_grid_too_large_to_allocate_fails_at_once(self, capsys):
+        # the allocation raises before any pass over the steps; a size that would allocate is not tried
+        from hawkent.cli import main
+
+        for scale in ("linear", "log"):
+            spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=10**20, scale=scale, alpha=0.6, omega=1.0)
+            with pytest.raises(ValueError, match="Maximum allowed"):
+                grid_values(spec)
+            with pytest.raises(ValueError, match="Maximum allowed"):
+                run_sweep(_config(spec))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--vary", "temperature", "--min", "0.01", "--max", "10", "--alpha", "0.6",
+                  "--omega", "1", "--steps", "100000000000000000000", "--scale", "log"])
+        assert exc.value.code == 2
+        assert "Maximum allowed" in capsys.readouterr().err
+
 
 class TestEvaluatePoint:
     def test_spot_row(self):
