@@ -13,6 +13,7 @@ import warnings
 from itertools import chain
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import hawkent.measures
 import hawkent.model
 import hawkent.sweep
+from hawkent.cli import main
 from hawkent.measures import measure_set
 from hawkent.model import ModelParams, ModePair, hawking_temperature, reduced_density, tripartite_state
 from hawkent.model import (
@@ -232,7 +234,6 @@ class TestGridValues:
 
     def test_log_grid_is_within_its_documented_ulps_of_mpmath(self):
         # the docstring's 4.5 ulp over grids of up to 6 decades, np.geomspace's 42 ulp failing it
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(34)
         grids = [(0.01, 10.0, 40), (0.01, 10.0, 200)]
         for _ in range(150):
@@ -258,8 +259,6 @@ class TestGridValues:
                 assert (grid[0], grid[-1]) == (low, high)
 
     def test_full_float_range_log_sweep_writes_nothing_to_stderr(self, capsys):
-        from hawkent.cli import main
-
         argv = ["sweep", "--vary", "omega", "--min", "5e-324", "--max", "1.7976931348623157e308",
                 "--steps", "5", "--scale", "log", "--alpha", "0.5", "--temperature", "1"]
         with warnings.catch_warnings():
@@ -272,8 +271,6 @@ class TestGridValues:
 
     def test_grid_too_large_to_allocate_fails_at_once(self, capsys):
         # the allocation raises before any pass over the steps; a size that would allocate is not tried
-        from hawkent.cli import main
-
         for scale in ("linear", "log"):
             spec = SweepSpec(vary="temperature", min=0.01, max=10.0, steps=10**20, scale=scale, alpha=0.6, omega=1.0)
             with pytest.raises(ValueError, match="Maximum allowed"):
