@@ -25,22 +25,30 @@ nor the thermal weights it starts from.  The spectral route never
 reads a closed-form value or weight, and the emitted values are the
 closed forms either way.
 
-Each emitter flattens and renders its rows once, through
-:func:`_render_rows`: it checks every row's width, then one ``%`` call
-on a template of all the lines renders every cell with 12 significant
-digits, and one text replace on the result folds ``-0.0`` into
-``0.0``.  All CSV, :func:`emit_csv`'s and the CLI's figure tables, is
-written by :func:`_csv_text`: a header, then one line of
-comma-separated cells per row.
-JSON fills a template of all the records, in the ``indent=1``
-layout, with the same cells, and two text fix-ups make them strict JSON
-numbers: a cell with 12 integer digits, which ends in a bare ``.``,
-gets a trailing ``0``, and ``nan``, ``inf`` and ``-inf`` take
-``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.  The fix-ups are
-skipped on cells that cannot need them (see :func:`emit_json`).  Every
-JSON value is therefore its CSV cell, and parses to the exact value of
-that cell.  The head, the config echo, is one module-level template in
-the same layout, keyed by the fields of :class:`SweepSpec` and then
+A sweep result renders its cells once.  :func:`run_sweep` returns a
+:class:`SweepRows`, a tuple of :class:`SweepRow` whose CSV body is
+rendered on first use and kept with the rows, and both emitters write
+from that body; any other rows given to an emitter are made into a
+:class:`SweepRows` first.  The body comes from :func:`_render_rows`: it
+checks every row's width, then one ``%`` call on a template of all the
+lines renders every cell with 12 significant digits, and one text
+replace on the result folds ``-0.0`` into ``0.0``.  All CSV,
+:func:`emit_csv`'s and the CLI's figure tables, is a header, then one
+line of comma-separated cells per row.
+JSON values are the CSV cells' own text: the body is split into its
+cells, which are interleaved with the keys of the ``indent=1`` layout in
+one ``str.join``, and two text fix-ups make them strict JSON numbers: a
+cell with 12 integer digits, which ends in a bare ``.``, gets a trailing
+``0``, and ``nan``, ``inf`` and ``-inf`` take ``json``'s ``NaN``,
+``Infinity`` and ``-Infinity``.  The fix-ups run only when the text can
+need them: when it holds an ``n`` or a ``.`` that ends a cell (see
+:func:`_json_records`).  Every JSON value is therefore its CSV cell,
+and parses to the exact value of that cell.  JSON written alone pays
+for the split and join on top of the render: about 40 us more for 40
+rows than rendering them straight into JSON took (in-process best of
+9, 2-vCPU x86_64), where a result written in both formats saves a
+whole render.  The head, the config echo, is one module-level template
+in the same layout, keyed by the fields of :class:`SweepSpec` and then
 ``format``, ``out``, ``verify`` and ``mass``; one ``json.dumps`` call
 encodes all the values, each as ``json.dumps`` writes it alone.  The
 gates of :class:`SweepSpec` and :class:`RunConfig` leave only strings,
@@ -55,8 +63,9 @@ import json
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import IO
 
 import numpy as np
@@ -71,6 +80,7 @@ __all__ = [
     "SweepSpec",
     "RunConfig",
     "SweepRow",
+    "SweepRows",
     "format_number",
     "grid_values",
     "evaluate_point",
@@ -217,10 +227,35 @@ class SweepRow(namedtuple("SweepRow", [c.lower().replace("minpt", "min_pt") for 
 # a row from 15 values in C, without _make's Python-level length check
 _new_row = partial(tuple.__new__, SweepRow)
 
+
+class SweepRows(tuple):
+    """A tuple of :class:`SweepRow`, as :func:`run_sweep` returns it, whose cells are rendered once.
+
+    ``csv_body`` is the CSV text of the rows without the header,
+    rendered on first use and then kept with the rows: both
+    :func:`emit_csv` and :func:`emit_json` write from it, so a result
+    emitted in both formats is formatted once.  Built from other rows,
+    for the emitters, it holds them as given, and ``csv_body`` checks
+    their widths.
+    """
+
+    @cached_property
+    def csv_body(self) -> str:
+        """The rows' CSV lines, without the header; see :func:`_render_rows`."""
+        return _render_rows(self, len(CSV_COLUMNS))
+
+
+def _sweep_rows(rows) -> SweepRows:
+    """``rows`` as a :class:`SweepRows`: itself if it is one, else a new one holding its rows."""
+    return rows if isinstance(rows, SweepRows) else SweepRows(rows)
+
+
 # 12 significant digits, trailing zeros kept
 _CELL = "%#.12g"
-# one element of the JSON rows array and its separator, in json.dump(..., indent=1)'s layout
-_JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: {_CELL}" for c in CSV_COLUMNS) + "\n  },\n"
+# the text before each cell of a row in the JSON rows array, in json.dump(..., indent=1)'s layout:
+# the first row's first key opens the first record, a later row's also closes the record before it
+_JSON_FIRST_KEY = f"  {{\n   {json.dumps(CSV_COLUMNS[0])}: "
+_JSON_KEYS = ("\n  },\n" + _JSON_FIRST_KEY, *(f",\n   {json.dumps(c)}: " for c in CSV_COLUMNS[1:]))
 # the JSON head up to the rows array, with and without a config echo, in the same layout
 _SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 _spec_values = operator.attrgetter(*_SPEC_FIELDS)
@@ -325,12 +360,12 @@ def _verify_limits(report: LimitReport) -> None:
     _verify(table)
 
 
-def _rows(points, verify: bool) -> list[SweepRow]:
+def _rows(points, verify: bool) -> SweepRows:
     """The rows of an ``(N, 3)`` block of checked points from one table, cross-checked if ``verify``."""
     table = _closed_table(points)
     if verify:
         _verify(table)
-    return list(map(_new_row, table.tolist()))
+    return SweepRows(map(_new_row, table.tolist()))
 
 
 def evaluate_point(
@@ -348,8 +383,8 @@ def evaluate_point(
     return _rows([check_params(alpha, omega, temperature)], _verify_flag(verify))[0]
 
 
-def run_sweep(config: RunConfig) -> list[SweepRow]:
-    """Evaluate the sweep grid in ascending order.
+def run_sweep(config: RunConfig) -> SweepRows:
+    """Evaluate the sweep grid in ascending order: a tuple of :class:`SweepRow`.
 
     The whole grid is evaluated as one table, of one ``(N, 3)`` block
     of points (see the module docstring); ``SweepSpec`` has already
@@ -365,14 +400,14 @@ def run_sweep(config: RunConfig) -> list[SweepRow]:
     return _rows(points, config.verify)
 
 
-def _render_rows(rows, width: int, line: str) -> tuple[tuple, str]:
-    """``(cells, text)``: the cells of ``rows``, row after row, and each row filled into ``line``.
+def _render_rows(rows, width: int) -> str:
+    """The CSV lines of ``rows``: each row's cells, comma-separated, on a line of its own.
 
     Raises ``ValueError`` for the first row whose width is not
-    ``width``, so a bad row is caught before anything is rendered.
-    ``line`` holds one ``%#.12g`` conversion per cell.  All lines are
-    rendered by one ``%`` call on a template of all the lines, with every
-    ``-0.0`` printed as ``0.0``.
+    ``width``, so a bad row is caught before anything is rendered.  All
+    lines are rendered by one ``%`` call on a template of all the lines,
+    one ``%#.12g`` conversion per cell, with every ``-0.0`` printed as
+    ``0.0``.
     """
     cells = []
     for i, row in enumerate(rows):
@@ -380,56 +415,68 @@ def _render_rows(rows, width: int, line: str) -> tuple[tuple, str]:
         cells += row
         if len(cells) - start != width:
             raise ValueError(f"row {i} has {len(cells) - start} values, expected {width}")
-    cells = tuple(cells)
-    return cells, _render(line * (len(cells) // width), cells)
+    return _render((",".join([_CELL] * width) + "\n") * (len(cells) // width), tuple(cells))
 
 
 def _csv_text(names, rows) -> str:
     """CSV text: the header ``names``, then one line of comma-separated cells per row of ``rows``."""
-    line = ",".join([_CELL] * len(names)) + "\n"
-    return ",".join(names) + "\n" + _render_rows(rows, len(names), line)[1]
+    return ",".join(names) + "\n" + _render_rows(rows, len(names))
 
 
-def emit_csv(rows: list[SweepRow], stream: IO[str]) -> None:
+def emit_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
     """Write the fixed 15-column schema with 12-digit values.
 
+    ``rows`` is a :class:`SweepRows`, whose ``csv_body`` is written
+    after the header, or any iterable of rows, which is made into one.
     Every row is rendered before anything is written, so a row of the
     wrong width raises ``ValueError`` and leaves ``stream`` untouched.
     """
-    stream.write(_csv_text(CSV_COLUMNS, rows))
+    stream.write(",".join(CSV_COLUMNS) + "\n" + _sweep_rows(rows).csv_body)
 
 
-def emit_json(rows: list[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
+def _json_records(body: str) -> str:
+    """The JSON row records of a ``csv_body``, each value its cell's text as a strict JSON number.
+
+    A cell ending in a bare ``.`` gets a trailing ``0``, and ``nan``,
+    ``inf`` and ``-inf`` take ``json``'s ``NaN``, ``Infinity`` and
+    ``-Infinity``.  These fix-ups run only when ``body`` holds an ``n``,
+    which only ``nan`` and ``inf`` do, or a ``.`` before a ``,`` or a
+    newline; otherwise they would find nothing.  The cells are then
+    split apart and interleaved with the keys in one ``str.join``.
+    """
+    text = body.replace("\n", ",")  # so a "." ends its cell only before a ","
+    if "n" in text or ".," in text:
+        text = text.replace(".,", ".0,").replace("nan", "NaN").replace("inf", "Infinity")
+    cells = text.split(",")
+    cells.pop()  # the empty text after the last line's separator
+    parts = [""] * (2 * len(cells))
+    parts[::2] = _JSON_KEYS * (len(cells) // len(CSV_COLUMNS))
+    parts[1::2] = cells
+    parts[0] = _JSON_FIRST_KEY
+    parts.append("\n  }")
+    return "".join(parts)
+
+
+def emit_json(rows: Iterable[SweepRow], stream: IO[str], config: RunConfig | None = None) -> None:
     """Write a top-level object with a config echo and a rows array, in ``json.dump``'s ``indent=1`` layout.
 
-    The head is the config echo (or null), its values encoded by one
-    ``json.dumps`` call and filled into one template (see the module
-    docstring).  Each row is an object from column name to the row's CSV
-    cell, rendered by the same helper as :func:`emit_csv`; a cell ending
-    in a bare ``.`` is written with a trailing ``0``, and NaN and the
-    infinities take ``json``'s spelling.  The fix-ups are skipped when
-    the cells' Euclidean norm is below 1e10: then no cell is non-finite
-    or ends in a bare ``.``, and the bytes are the same either way.  So
-    each value parses to ``float()`` of its CSV cell and the two formats
-    agree exactly.  Rows of the wrong width raise ``ValueError`` before
-    anything is written.
+    ``rows`` is taken as :func:`emit_csv` takes it.  The head is the
+    config echo (or null), its values encoded by one ``json.dumps`` call
+    and filled into one template (see the module docstring).  Each row
+    is an object from column name to the row's CSV cell, read off the
+    rows' ``csv_body`` (see :func:`_json_records`), so each value parses
+    to ``float()`` of its CSV cell and the two formats agree exactly.
+    Rows of the wrong width raise ``ValueError`` before anything is
+    written.
     """
-    # raises on a bad row before anything is written
-    cells, records = _render_rows(rows, len(CSV_COLUMNS), _JSON_RECORD)
+    body = _sweep_rows(rows).csv_body  # raises on a bad row before anything is written
     if config is None:
         head = _JSON_HEAD_NO_CONFIG
     else:
         echo = (*_spec_values(config.sweep), config.output_format, config.out, config.verify, config.mass)
         # json.dumps writes a NUL inside a string as \u0000, so a raw NUL can only be a separator
         head = _JSON_HEAD % tuple(json.dumps(echo, separators=("\0", ":"))[1:-1].split("\0"))
-    if not records:
+    if not body:
         stream.write(head + "[]\n}\n")
         return
-    records = records[:-2]  # less the last separator
-    # a cell renders as nan or inf only if non-finite, and ends in a bare "." only if its 12-digit
-    # rounding reaches 1e11; a norm below 1e10 rules out both, and a NaN norm is not below it
-    if not math.hypot(*cells) < 1e10:
-        # each value is followed by ",\n" or, last in its record, by "\n"; no key holds "nan" or "inf"
-        records = records.replace(".,\n", ".0,\n").replace(".\n", ".0\n")
-        records = records.replace("nan", "NaN").replace("inf", "Infinity")
-    stream.write(head + "[\n" + records + "\n ]\n}\n")
+    stream.write(head + "[\n" + _json_records(body) + "\n ]\n}\n")

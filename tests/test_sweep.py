@@ -39,6 +39,7 @@ from hawkent.sweep import (
     CSV_COLUMNS,
     RunConfig,
     SweepRow,
+    SweepRows,
     SweepSpec,
     VERIFY_ATOL,
     VerificationError,
@@ -516,10 +517,15 @@ def _old_json(rows, config):
     return json.dumps(payload, indent=1) + "\n"
 
 
+# one element of the JSON rows array and its separator, each value rendered straight from its float
+_ORACLE_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(c)}: %#.12g" for c in CSV_COLUMNS) + "\n  },\n"
+
+
 def _scanned_json(rows, config=None):
     """``emit_json`` with every fix-up applied to every output and the head filled value by value, kept as the oracle."""
     rows = list(map(tuple, rows))
-    records = hawkent.sweep._render(hawkent.sweep._JSON_RECORD * len(rows), tuple(chain.from_iterable(rows)))
+    records = (_ORACLE_RECORD * len(rows)) % tuple(chain.from_iterable(rows))
+    records = records.replace("-0.00000000000", "0.00000000000")
     if config is None:
         head = hawkent.sweep._JSON_HEAD_NO_CONFIG
     else:
@@ -778,6 +784,46 @@ class TestEmissionBytes:
         emit_json(rows, json_out)
         assert csv_out.getvalue() == _old_csv(rows)
         assert json_out.getvalue() == _scanned_json(rows)
+
+
+BODY_ROW_SETS = {**EDGE_ROW_SETS, **GUARD_ROW_SETS, "read_off": READ_OFF_ROWS}
+
+
+class TestSweepRows:
+    def test_run_sweep_returns_a_tuple_of_sweep_rows(self):
+        rows = run_sweep(_config())
+        assert type(rows) is SweepRows and isinstance(rows, tuple)
+        assert len(rows) == TEMP_SWEEP.steps and all(type(row) is SweepRow for row in rows)
+
+    @pytest.mark.parametrize("emitters", [(emit_csv, emit_json), (emit_json, emit_csv)], ids=["csv_first", "json_first"])
+    def test_a_result_emitted_in_both_formats_renders_once(self, monkeypatch, emitters):
+        widths = []
+        render = hawkent.sweep._render_rows
+
+        def spy(rows, width):
+            widths.append(width)
+            return render(rows, width)
+
+        monkeypatch.setattr(hawkent.sweep, "_render_rows", spy)
+        rows = run_sweep(_config())
+        for emit in emitters:
+            emit(rows, io.StringIO())
+        assert widths == [len(CSV_COLUMNS)]
+        # a plain list is made into new rows by each emitter, and rendered by each
+        plain = list(rows)
+        for emit in emitters:
+            emit(plain, io.StringIO())
+        assert widths == [len(CSV_COLUMNS)] * 3
+
+    @pytest.mark.parametrize("rows", BODY_ROW_SETS.values(), ids=BODY_ROW_SETS.keys())
+    def test_json_bytes_are_the_same_from_a_cached_body(self, rows):
+        fresh, cached = io.StringIO(), io.StringIO()
+        emit_json(SweepRows(rows), fresh)
+        warm = SweepRows(rows)
+        emit_csv(warm, io.StringIO())
+        assert "csv_body" in vars(warm)
+        emit_json(warm, cached)
+        assert cached.getvalue() == fresh.getvalue()
 
 
 def _skew(monkeypatch, entries=(0, 1, 2), temperature=None, delta=1e-6):
