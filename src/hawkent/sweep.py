@@ -388,13 +388,17 @@ def run_sweep(config: RunConfig) -> SweepRows:
 
     The whole grid is evaluated as one table, of one ``(N, 3)`` block
     of points (see the module docstring); ``SweepSpec`` has already
-    range-checked it.  With
+    range-checked it.  A block too large to allocate raises
+    ``ValueError`` naming ``steps``.  With
     ``config.verify`` on, the table is then checked in one stacked
     spectral pass.  The rows, and so the emitted bytes, are the same as
     from :func:`evaluate_point` called on each grid value in turn.
     """
     spec = config.sweep
-    points = np.empty((spec.steps, len(_VARIABLES)))
+    try:
+        points = np.empty((spec.steps, len(_VARIABLES)))
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError past its largest dimension
+        raise ValueError(f"steps {spec.steps} is too many to allocate the grid: {exc}") from None
     for i, name in enumerate(_VARIABLES):
         points[:, i] = grid_values(spec) if name == spec.vary else getattr(spec, name)
     return _rows(points, config.verify)

@@ -31,6 +31,12 @@ SWEEP_ARGS = [
     "--alpha", "0.5",
     "--omega", "1",
 ]
+# step counts whose grid block cannot be allocated: 10**16 rows of 3 doubles are more memory than
+# a 64-bit address space holds, and 10**20 is past numpy's largest dimension
+HUGE_STEPS_ARGV = [
+    SWEEP_ARGS + ["--steps", "10000000000000000"],
+    SWEEP_ARGS + ["--steps", "100000000000000000000"],
+]
 
 
 def _measure_text(alpha, omega, temperature):
@@ -136,12 +142,20 @@ class TestParserValidation:
             ["sweep", "--vary", "temperature", "--min", "0.01", "--max", "nan", "--steps", "5",
              "--alpha", "0.5", "--omega", "1"],
             ["limits", "--alpha", "1.5"],
+            *HUGE_STEPS_ARGV,
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [*HUGE_STEPS_ARGV, ["figure", "1", "--steps", "10000000000000000"]])
+    def test_steps_too_many_to_allocate_are_named(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: steps " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
