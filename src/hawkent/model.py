@@ -302,8 +302,34 @@ def _closed_table(points) -> np.ndarray:
     # 1 - a^2: p's last three columns, reversed, as p is not read again
     d = p[:, 5:2:-1]
     d[:, 2] = b2
-    table[:, 12:] = np.divide(-0.5 * cc, d + np.sqrt(d * d + cc), out=np.zeros((n, 3)), where=cc > 0.0)
+    normal = cc >= _SMALLEST_NORMAL
+    table[:, 12:] = np.divide(-0.5 * cc, d + np.sqrt(d * d + cc), out=np.zeros((n, 3)), where=normal)
+    if not normal.all():
+        scaled = ~normal & (table[:, 3:6] > 0.0)
+        table[:, 12:][scaled] = _scaled_min_pt(table[:, 3:6][scaled], d[scaled])
     return table
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+
+
+def _scaled_min_pt(c, d):
+    """Lower eigenvalue of ``[[d, C/2], [C/2, 0]]`` for ``C > 0``, from the block scaled by C.
+
+    ``-C / (2 (t + sqrt(t^2 + 1)))`` with ``t = d / C`` keeps its digits
+    where ``C^2`` is below the smallest normal float.  From ``t = 2^27``
+    on, ``t^2 + 1`` rounds to ``t^2``, whose square root is ``t``, so
+    ``t + sqrt(t^2 + 1)`` is taken as the ``2t`` it rounds to, and
+    ``t^2`` cannot overflow.  Where ``t`` or ``2t`` overflows, the
+    eigenvalue, about ``-C^2 / (4 d)``, is below the smallest float, and
+    the result is ``-0.0``.
+    """
+    with np.errstate(over="ignore"):
+        t = d / c
+        u = 2.0 * t  # t + sqrt(t^2 + 1) from t = 2^27 on
+        small = t < 2.0**27
+        u[small] = t[small] + np.sqrt(t[small] * t[small] + 1.0)
+        return -c / (2.0 * u)
 
 
 def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float, ...]:
@@ -333,6 +359,9 @@ def closed_forms(alpha: float, omega: float, temperature: float) -> tuple[float,
     ``alpha^2 f+^2``, ``alpha^2 f-^2``, ``1 - alpha^2`` (A_I, A_II, I_II).
     Its lower eigenvalue is ``-C^2 / (2 (d + sqrt(d^2 + C^2)))``, without
     the cancellation of ``(d - sqrt(d^2 + C^2)) / 2``; +0.0 where C is 0.
+    Where ``C^2`` is below the smallest normal float but C is not 0, it
+    is taken from the block scaled by C, ``-C / (2 (t + sqrt(t^2 + 1)))``
+    with ``t = d / C``, so it keeps the digits that ``C^2`` loses.
     """
     return tuple(_closed_table([check_params(alpha, omega, temperature)])[0, 3:].tolist())
 

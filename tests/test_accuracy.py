@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import mpmath
@@ -250,22 +251,52 @@ def test_corpus_min_pt_cells_match_mpmath(argv):
     assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)
 
 
-# the default figure grid at three alphas, and the grid of every corpus sweep
+# invocations where C is a normal float but C^2 is not: at alpha 1e-160 and 1e-200 the A_I and
+# A_II blocks' eigenvalues are about -C/2, and from T = 0.0014 down the A_II one is about
+# -C^2 / (4 d), below the smallest normal, and then below the smallest float
+UNDERFLOW_ARGV = [
+    ["measure", "--alpha", "1e-160", "--omega", "1", "--temperature", "1"],
+    ["measure", "--alpha", "1e-200", "--omega", "1", "--temperature", "1"],
+    ["sweep", "--vary", "temperature", "--min", "0.001", "--max", "0.0015", "--steps", "6",
+     "--alpha", "0.6", "--omega", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", UNDERFLOW_ARGV, ids=" ".join)
+def test_min_pt_cells_where_c_squared_underflows_match_mpmath(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = list(_invocation_cells(argv, MIN_PT_COLUMNS))
+    assert cells
+    wrong = _wrong_cells(cells, CORPUS_ULPS)
+    assert not wrong, f"{len(wrong)} wrong cells:\n" + "\n".join(wrong)
+
+
+# the default figure grid at five alphas, C^2 underflowing at the last two while C does not,
+# and the grid of every corpus sweep
 SIGN_SPECS = [
     SweepSpec(vary="temperature", min=0.01, max=10.0, steps=200, scale="log", alpha=alpha, omega=1.0)
-    for alpha in (FIGURE_DEFAULTS["alpha"], 0.3, 0.9)
+    for alpha in (FIGURE_DEFAULTS["alpha"], 0.3, 0.9, 1e-160, 1e-200)
 ] + [_sweep_spec(build_parser().parse_args(case.values[0])) for case in CORPUS_CASES
      if case.values[0][0] == "sweep"]
 
 
+def _normal_min_pt(point, column):
+    """Whether the exact min PT eigenvalue of ``column`` at ``point`` is a normal float."""
+    return abs(_exact(*point, [column])[0]) >= SMALLEST_NORMAL
+
+
 def test_min_pt_is_negative_exactly_where_c_is_nonzero():
     # Peres: a two-qubit state is entangled iff its partial transpose has a negative
-    # eigenvalue, so each pair's C and min PT cells agree wherever C^2 is resolved
+    # eigenvalue, so each pair's C and min PT cells agree wherever both are resolved: where
+    # C^2 is a normal float, and where C alone is and the eigenvalue, about -C^2 / (4 d) once
+    # d >> C, is too
     wrong = []
     for spec in SIGN_SPECS:
         for row in run_sweep(RunConfig(sweep=spec)):
-            for pair, c, min_pt in zip(("A_I", "A_II", "I_II"), row[3:6], row[12:15]):
-                if (c * c >= SMALLEST_NORMAL and not min_pt < 0.0
+            for column, c, min_pt in zip(MIN_PT_COLUMNS, row[3:6], row[12:15]):
+                if (c >= SMALLEST_NORMAL and not min_pt < 0.0
+                        and (c * c >= SMALLEST_NORMAL or _normal_min_pt(row[:3], column))
                         or c == 0.0 and (min_pt, math.copysign(1.0, min_pt)) != (0.0, 1.0)):
-                    wrong.append(f"{spec} | {row[:3]} | {pair}: C {c!r}, min PT {min_pt!r}")
+                    wrong.append(f"{spec} | {row[:3]} | {column}: C {c!r}, min PT {min_pt!r}")
     assert not wrong, f"{len(wrong)} cells disagree:\n" + "\n".join(wrong)

@@ -372,8 +372,20 @@ def _ref_row(alpha, omega, temperature):
         s_a + s_i - s_ii,
         s_a + s_ii - s_i,
         s_i + s_ii - s_a,
-        *(-0.5 * cc / (d + math.sqrt(d * d + cc)) if cc > 0.0 else 0.0 for d, cc in blocks),
+        *(_ref_min_pt(d, cc, x) for (d, cc), x in zip(blocks, c)),
     )
+
+
+def _ref_min_pt(d, cc, c):
+    """Lower eigenvalue of ``[[d, c/2], [c/2, 0]]``, scaled by ``c`` where ``c*c`` is not normal."""
+    if cc >= sys.float_info.min:
+        return -0.5 * cc / (d + math.sqrt(d * d + cc))
+    if c == 0.0:
+        return 0.0
+    t = d / c
+    # past the overflow of t*t, t + sqrt(t*t + 1) is the 2t it rounds to
+    half = t + math.sqrt(t * t + 1.0) if t * t < math.inf else 2.0 * t
+    return -c / (2.0 * half)
 
 
 def _ref_amplitudes(alpha, omega, temperature):
