@@ -252,6 +252,9 @@ def reduced_density(params: ModelParams, pair: ModePair) -> DensityMatrix:
     return validate_density(pair_states(tripartite_state(params), pair)[0], (2, 2))
 
 
+_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
+
+
 def _closed_table(points) -> np.ndarray:
     """Sweep rows of an ``(N, 3)`` block of checked ``(alpha, omega, T)`` points.
 
@@ -308,9 +311,6 @@ def _closed_table(points) -> np.ndarray:
         scaled = ~normal & (table[:, 3:6] > 0.0)
         table[:, 12:][scaled] = _scaled_min_pt(table[:, 3:6][scaled], d[scaled])
     return table
-
-
-_SMALLEST_NORMAL = float(np.finfo(float).smallest_normal)
 
 
 def _scaled_min_pt(c, d):
